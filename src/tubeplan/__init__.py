@@ -27,8 +27,6 @@ from .fibration import (
     TaskingPlanner,
     WorkMap,
     jacobian_fd,
-    lift,
-    newton_project,
     pullback_planner,
     rr_arm_workmap,
 )
@@ -41,8 +39,8 @@ from .geometry import (
     PathExpr,
     Scaled,
     StereoSegment,
+    newton_project,
     normalize,
-    path_eval,
     path_from_dict,
     path_from_json,
     path_to_json,
@@ -61,7 +59,6 @@ from .milnor import (
     TubePoint,
     brieskorn_germ,
     circle_action_lift,
-    eval_germ,
     hopf_germ,
     load_germ,
     monodromy_components,

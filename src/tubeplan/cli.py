@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import LiftFailure, TooFewPoints, Uncovered, AmbiguousAssignment
+from .errors import AmbiguousAssignment, LiftFailure, TooFewPoints, Uncovered
 from .fibration import NumericOracle, pullback_planner, rr_arm_workmap
 from .geometry import write_path_csv
 from .milnor import (
@@ -39,6 +39,14 @@ EXIT_OK = 0
 EXIT_CONTRACT = 1
 EXIT_PARSE = 2
 EXIT_LIFT = 3
+
+# Typed failures a command may raise: the stderr kind and exit code of each.
+FAILURES = {
+    Uncovered: ("uncovered", EXIT_CONTRACT),
+    LiftFailure: ("lift_failure", EXIT_LIFT),
+    TooFewPoints: ("too_few_points", EXIT_CONTRACT),
+    AmbiguousAssignment: ("ambiguous_assignment", EXIT_CONTRACT),
+}
 
 
 def _parse_vec(parser: argparse.ArgumentParser, text: str, what: str) -> np.ndarray:
@@ -83,19 +91,11 @@ def _emit_path(args, payload: dict, path, samples: int) -> None:
     _emit(args, payload)
 
 
-def _fail(obj: dict, code: int) -> int:
-    sys.stderr.write(json.dumps(obj, sort_keys=True) + "\n")
-    return code
-
-
 def cmd_plan_sphere(parser, args) -> int:
     planner = build_planner(args.dim, args.margin)
     start = _unit_vec(parser, args.start, args.dim + 1, "--start")
     goal = _unit_vec(parser, args.goal, args.dim + 1, "--goal")
-    try:
-        idx, path = planner.plan(start, goal)
-    except Uncovered as ex:
-        return _fail({"error": str(ex), "kind": "uncovered"}, EXIT_CONTRACT)
+    idx, path = planner.plan(start, goal)
     _emit_path(
         args,
         {"region": idx, "dim": args.dim, "margin": planner.delta},
@@ -117,12 +117,7 @@ def cmd_plan_tube(parser, args) -> int:
     wm = tube_fibration(germ)
     planner = pullback_planner(wm, delta=args.margin)
     goal = germ.eta * np.array([math.cos(args.angle), math.sin(args.angle)])
-    try:
-        idx, path = planner.plan(start.x, goal)
-    except Uncovered as ex:
-        return _fail({"error": str(ex), "kind": "uncovered"}, EXIT_CONTRACT)
-    except LiftFailure as ex:
-        return _fail({"error": str(ex), "kind": "lift_failure", "t_star": ex.t_star}, EXIT_LIFT)
+    idx, path = planner.plan(start.x, goal)
     residual = float(np.linalg.norm(wm.f(path.at(1.0)) - goal))
     _emit_path(
         args,
@@ -146,12 +141,7 @@ def cmd_plan_arm(parser, args) -> int:
         parser.error("--start must be the two joint angles")
     goal = _unit_vec(parser, args.goal, 3, "--goal")
     planner = pullback_planner(wm, delta=args.margin)
-    try:
-        idx, path = planner.plan(start, goal)
-    except Uncovered as ex:
-        return _fail({"error": str(ex), "kind": "uncovered"}, EXIT_CONTRACT)
-    except LiftFailure as ex:
-        return _fail({"error": str(ex), "kind": "lift_failure", "t_star": ex.t_star}, EXIT_LIFT)
+    idx, path = planner.plan(start, goal)
     residual = float(np.linalg.norm(wm.f(path.at(1.0)) - goal))
     _emit_path(
         args,
@@ -194,10 +184,7 @@ def cmd_verify(parser, args) -> int:
 
 def cmd_fiber(parser, args) -> int:
     germ = load_germ(args.germ)
-    try:
-        fs = sample_fiber(germ, phi=args.angle, n_seeds=args.seeds, seed=args.seed)
-    except TooFewPoints as ex:
-        return _fail({"error": str(ex), "kind": "too_few_points"}, EXIT_CONTRACT)
+    fs = sample_fiber(germ, phi=args.angle, n_seeds=args.seeds, seed=args.seed)
     _emit(
         args,
         {
@@ -217,11 +204,8 @@ def cmd_fiber(parser, args) -> int:
 
 def cmd_monodromy(parser, args) -> int:
     germ = load_germ(args.germ)
-    try:
-        fs = sample_fiber(germ, phi=args.angle, n_seeds=args.seeds, seed=args.seed)
-        perm = monodromy_components(germ, fs)
-    except (TooFewPoints, AmbiguousAssignment) as ex:
-        return _fail({"error": str(ex), "kind": type(ex).__name__}, EXIT_CONTRACT)
+    fs = sample_fiber(germ, phi=args.angle, n_seeds=args.seeds, seed=args.seed)
+    perm = monodromy_components(germ, fs)
     _emit(
         args,
         {
@@ -247,10 +231,7 @@ def cmd_certify(parser, args) -> int:
     if args.quantity == "tc":
         cert = certify_tc(germ)
     else:
-        try:
-            fs = sample_fiber(germ, n_seeds=args.seeds, seed=args.seed)
-        except TooFewPoints as ex:
-            return _fail({"error": str(ex), "kind": "too_few_points"}, EXIT_CONTRACT)
+        fs = sample_fiber(germ, n_seeds=args.seeds, seed=args.seed)
         cert = certify_sec(germ, fiber_components=fs.n_components)
     _emit(args, cert.to_dict())
     return EXIT_OK
@@ -355,7 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        return args.func(parser, args)
+    except tuple(FAILURES) as ex:
+        kind, code = FAILURES[type(ex)]
+        obj = {"error": str(ex), "kind": kind}
+        if isinstance(ex, LiftFailure):
+            obj["t_star"] = ex.t_star
+        sys.stderr.write(json.dumps(obj, sort_keys=True) + "\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -27,6 +27,8 @@ from .geometry import (
     NumericLift,
     PathExpr,
     Scaled,
+    gauss_newton_step,
+    newton_project,  # re-exported: tests and tools import it from here
     normalize,
     path_from_dict,
 )
@@ -43,9 +45,8 @@ class WorkMap:
     """A smooth map R^n -> R^p restricted over the radius-eta task sphere.
 
     f and jac must accept batches over leading axes: f maps (..., n) to
-    (..., p) and jac maps (..., n) to (..., p, n). sampler draws one
-    configuration over a uniformly random task value; sampler_batch is
-    the vectorized form the verification suites prefer.
+    (..., p) and jac maps (..., n) to (..., p, n). sampler(rng, k) draws
+    k configurations over uniformly random task values.
     """
 
     n: int
@@ -55,8 +56,7 @@ class WorkMap:
     eta: float
     name: str = ""
     germ: Optional[object] = None
-    sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None
-    sampler_batch: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
+    sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     singular_values: Optional[np.ndarray] = None
     flags: Optional[dict] = None
 
@@ -68,11 +68,9 @@ class WorkMap:
         return None
 
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        if self.sampler_batch is not None:
-            return self.sampler_batch(rng, k)
-        if self.sampler is not None:
-            return np.stack([self.sampler(rng) for _ in range(k)])
-        raise ValueError(f"work map {self.name!r} has no domain sampler")
+        if self.sampler is None:
+            raise ValueError(f"work map {self.name!r} has no domain sampler")
+        return self.sampler(rng, k)
 
 
 def jacobian_fd(wm: WorkMap, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -87,70 +85,6 @@ def jacobian_fd(wm: WorkMap, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         xm[j] -= step
         cols.append((wm.f(xp) - wm.f(xm)) / (2.0 * step))
     return np.stack(cols, axis=-1)
-
-
-def newton_project(
-    f: Callable[[np.ndarray], np.ndarray],
-    jac: Callable[[np.ndarray], np.ndarray],
-    x0s: np.ndarray,
-    targets: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    blowup: float = 1e6,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Gauss-Newton projection onto {f(x) = target}.
-
-    Minimum-norm updates dx = J^T (J J^T)^{-1} r. Rows whose normal
-    matrix degenerates or whose iterates blow up are reported as not
-    converged; survivors satisfy ||f(x) - target|| <= tol.
-    """
-    xs = np.array(x0s, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    k = xs.shape[0]
-    active = np.ones(k, dtype=bool)
-    for _ in range(max_iter):
-        if not np.any(active):
-            break
-        r = np.atleast_2d(f(xs[active])) - targets[active]
-        resid = np.linalg.norm(r, axis=1)
-        done = resid <= tol
-        if np.any(done):
-            idx = np.flatnonzero(active)[done]
-            active[idx] = False
-            r = r[~done]
-            if r.shape[0] == 0:
-                continue
-        rows = np.flatnonzero(active)
-        J = jac(xs[rows])
-        JJt = J @ np.swapaxes(J, 1, 2)
-        det = np.abs(np.linalg.det(JJt))
-        ok = det > 1e-300
-        bad = rows[~ok]
-        xs[bad] = np.nan  # degenerate normal matrix: give up on the row
-        active[bad] = False
-        rows = rows[ok]
-        if rows.size == 0:
-            continue
-        lam = np.linalg.solve(JJt[ok], r[ok][..., None])[..., 0]
-        dx = np.einsum("kpn,kp->kn", J[ok], lam)
-        xs[rows] -= dx
-        wild = ~np.all(np.isfinite(xs[rows]), axis=1) | (
-            np.linalg.norm(dx, axis=1) > blowup
-        )
-        if np.any(wild):
-            xs[rows[wild]] = np.nan
-            active[rows[wild]] = False
-    finite = np.all(np.isfinite(xs), axis=1)
-    res = np.full(k, np.inf)
-    if np.any(finite):
-        res[finite] = np.linalg.norm(
-            np.atleast_2d(f(xs[finite])) - targets[finite], axis=1
-        )
-    return xs, res <= tol
-
-
-def _minnorm_solve(J: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(J, r, rcond=None)[0]
 
 
 @dataclass(frozen=True)
@@ -202,10 +136,10 @@ class ExactCircleOracle:
 class NumericOracle:
     """Predictor-corrector continuation lift along the base path.
 
-    Tangent predictor from the minimum-norm solve of Df . dx = dgamma,
-    Newton corrector back onto the level set, recursive step halving on
-    corrector failure. The result is a dense knot table wrapped in a
-    NumericLift node.
+    Tangent predictor from the Gauss-Newton step for Df . dx = dgamma,
+    Newton corrector back onto the level set with the same step,
+    recursive step halving on corrector failure. The result is a dense
+    knot table wrapped in a NumericLift node.
 
     Goals within singular_margin of a declared rank-drop value of the
     work map are refused up front: the fiber degenerates there and the
@@ -235,10 +169,13 @@ class NumericOracle:
                     f"tracking is refused inside margin {self.singular_margin:.0e}",
                 )
         ts = np.linspace(0.0, 1.0, self.n_knots)
+        gammas = path.sample(ts)
         xs = np.empty((self.n_knots, e.shape[0]), dtype=float)
         xs[0] = e
         for k in range(self.n_knots - 1):
-            xs[k + 1] = self._track(wm, path, xs[k], ts[k], ts[k + 1], 0)
+            xs[k + 1] = self._track(
+                wm, path, xs[k], ts[k], ts[k + 1], gammas[k], gammas[k + 1], 0
+            )
         return NumericLift(
             knots=ts,
             points=xs,
@@ -248,19 +185,20 @@ class NumericOracle:
             newton_iters=self.max_newton_iter,
         )
 
-    def _track(self, wm, path, x, t0, t1, depth) -> np.ndarray:
-        target = path.at(t1)
-        dgamma = target - path.at(t0)
+    def _track(self, wm, path, x, t0, t1, g0, g1, depth) -> np.ndarray:
+        # g0, g1 are path(t0), path(t1); a singular step is NaN, which
+        # the corrector reports as a failure, so it halves like one
         J = np.asarray(wm.jac(x), dtype=float)
-        xpred = x + _minnorm_solve(J, dgamma)
-        xnew, ok = self._newton(wm, xpred, target)
+        xpred = x + gauss_newton_step(J[None], (g1 - g0)[None])[0][0]
+        xnew, ok = self._newton(wm, xpred, g1)
         if ok:
             return xnew
         if depth >= self.max_halvings:
             raise LiftFailure(t0, f"corrector diverged after {depth} halvings")
         tm = 0.5 * (t0 + t1)
-        xm = self._track(wm, path, x, t0, tm, depth + 1)
-        return self._track(wm, path, xm, tm, t1, depth + 1)
+        gm = path.at(tm)
+        xm = self._track(wm, path, x, t0, tm, g0, gm, depth + 1)
+        return self._track(wm, path, xm, tm, t1, gm, g1, depth + 1)
 
     def _newton(self, wm, x, target) -> tuple[np.ndarray, bool]:
         x = np.array(x, dtype=float)
@@ -270,16 +208,12 @@ class NumericOracle:
                 return x, False
             if float(np.linalg.norm(r)) <= self.newton_tol:
                 return x, True
-            dx = _minnorm_solve(np.asarray(wm.jac(x), dtype=float), r)
+            J = np.asarray(wm.jac(x), dtype=float)
+            dx = gauss_newton_step(J[None], r[None])[0][0]
             if not np.all(np.isfinite(dx)) or float(np.linalg.norm(dx)) > 1e3:
                 return x, False
             x = x - dx
         return x, float(np.linalg.norm(wm.f(x) - target)) <= self.newton_tol
-
-
-def lift(oracle, wm: WorkMap, e: np.ndarray, path: PathExpr) -> PathExpr:
-    """Lift a base path through the work map, starting at e."""
-    return oracle.lift(wm, e, path)
 
 
 @dataclass(frozen=True)
@@ -319,7 +253,7 @@ class TaskingPlanner:
     def eta(self) -> float:
         return self.workmap.eta
 
-    def _base_pair(self, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def base_pair(self, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e = np.asarray(e, dtype=float)
         w = np.asarray(w, dtype=float)
         fe = self.workmap.f(e)
@@ -331,13 +265,13 @@ class TaskingPlanner:
         return normalize(fe), normalize(w)
 
     def dispatch(self, e: np.ndarray, w: np.ndarray) -> int:
-        th1, th2 = self._base_pair(e, w)
+        th1, th2 = self.base_pair(e, w)
         return self.base.dispatch(th1, th2)
 
     def plan(self, e: np.ndarray, w: np.ndarray) -> tuple[int, PathExpr]:
         """Return (region index, lifted path from e onto the fiber of w)."""
         e = np.asarray(e, dtype=float)
-        th1, th2 = self._base_pair(e, w)
+        th1, th2 = self.base_pair(e, w)
         idx = self.base.dispatch(th1, th2)
         region = self.base.regions[idx - 1]
         gamma = Scaled(region.build(th1, th2, self.base.delta), self.eta)
@@ -404,8 +338,7 @@ def rr_arm_workmap() -> WorkMap:
         jac=_rr_jac,
         eta=1.0,
         name="rr_arm",
-        sampler=lambda rng: rng.uniform(-math.pi, math.pi, 2),
-        sampler_batch=lambda rng, k: rng.uniform(-math.pi, math.pi, (k, 2)),
+        sampler=lambda rng, k: rng.uniform(-math.pi, math.pi, (k, 2)),
         singular_values=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
     )
 

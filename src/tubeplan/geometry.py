@@ -7,6 +7,10 @@ Paths are closed expression trees evaluated lazily on [0, 1]. Nodes are
 small dataclasses; evaluation has a scalar form (`at`) and a vectorized
 form (`sample`) because the verification suites evaluate dense knot
 grids per query.
+
+The package's one Gauss-Newton step lives here too: the numeric lift
+node below and the lifts and fiber samplers above all project onto
+level sets {f(x) = c} with it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AtPole, DomainError, EvenAmbientDim, OddAmbientDim, ZeroVector
+from .errors import AtPole, DomainError, EvenAmbientDim, LiftFailure, OddAmbientDim, ZeroVector
 
 # Choice: absolute tolerances; all live quantities here are O(1) or scaled
 # explicitly by callers, so relative forms buy nothing.
@@ -105,6 +109,81 @@ def _segment_min_norm(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.linalg.norm(a))
     t = min(1.0, max(0.0, -float(a @ d) / dd))
     return float(np.linalg.norm((1.0 - t) * a + t * b))
+
+
+def gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Gauss-Newton step: dx with J dx = r as nearly as possible.
+
+    J has shape (k, p, n) and r shape (k, p). Wide or square rows
+    (p <= n) take the minimum-norm step J^T (J J^T)^{-1} r; tall rows
+    (p > n, such as the arm's R^2 -> R^3) take the least-squares step
+    (J^T J)^{-1} J^T r, since J J^T is singular there. ok flags the rows
+    whose normal matrix is nonsingular; the other rows of dx are NaN.
+    See Allgower & Georg, Introduction to Numerical Continuation
+    Methods (SIAM 2003).
+    """
+    wide = J.shape[-2] <= J.shape[-1]
+    Jt = np.swapaxes(J, 1, 2)
+    normal, rhs = (J @ Jt, r) if wide else (Jt @ J, np.einsum("kpn,kp->kn", J, r))
+    ok = np.abs(np.linalg.det(normal)) > 1e-300
+    degenerate = not ok.all()
+    if degenerate:
+        normal[~ok] = np.eye(normal.shape[-1])  # a solvable stand-in; its rows turn NaN
+    sol = np.linalg.solve(normal, rhs[..., None])[..., 0]
+    dx = np.einsum("kpn,kp->kn", J, sol) if wide else sol
+    if degenerate:
+        dx[~ok] = np.nan
+    return dx, ok
+
+
+def newton_project(
+    f: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
+    x0s: np.ndarray,
+    targets: np.ndarray,
+    tol: float = 1e-12,
+    max_iter: int = 50,
+    blowup: float = 1e6,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Gauss-Newton projection onto {f(x) = target}.
+
+    Each iteration takes `gauss_newton_step`. Rows whose normal matrix
+    degenerates or whose iterates blow up are reported as not
+    converged; survivors satisfy ||f(x) - target|| <= tol.
+    """
+    xs = np.array(x0s, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    k = xs.shape[0]
+    active = np.ones(k, dtype=bool)
+    for _ in range(max_iter):
+        if not np.any(active):
+            break
+        r = np.atleast_2d(f(xs[active])) - targets[active]
+        resid = np.linalg.norm(r, axis=1)
+        done = resid <= tol
+        if np.any(done):
+            idx = np.flatnonzero(active)[done]
+            active[idx] = False
+            r = r[~done]
+            if r.shape[0] == 0:
+                continue
+        rows = np.flatnonzero(active)
+        dx, ok = gauss_newton_step(jac(xs[rows]), r)
+        xs[rows] -= dx
+        # degenerate normal matrix (a NaN step) or blow-up: give up on the row
+        wild = ~ok | ~np.all(np.isfinite(xs[rows]), axis=1) | (
+            np.linalg.norm(dx, axis=1) > blowup
+        )
+        if np.any(wild):
+            xs[rows[wild]] = np.nan
+            active[rows[wild]] = False
+    finite = np.all(np.isfinite(xs), axis=1)
+    res = np.full(k, np.inf)
+    if np.any(finite):
+        res[finite] = np.linalg.norm(
+            np.atleast_2d(f(xs[finite])) - targets[finite], axis=1
+        )
+    return xs, res <= tol
 
 
 class PathExpr:
@@ -367,8 +446,9 @@ class NumericLift(PathExpr):
 
     Evaluation interpolates the table linearly and, when the work map
     and base path are attached, polishes the interpolant back onto the
-    level set {f(x) = base(t)}. Deserialized nodes without a work map
-    fall back to plain interpolation.
+    level set {f(x) = base(t)} with `newton_project`; a parameter whose
+    polish does not converge raises LiftFailure there. Deserialized
+    nodes without a work map fall back to plain interpolation.
     """
 
     knots: np.ndarray                 # (k,)
@@ -400,26 +480,19 @@ class NumericLift(PathExpr):
         exact = np.minimum(np.abs(ts - k[idx]), np.abs(ts - k[idx + 1])) <= 1e-12
         if self.workmap is None or self.base is None or bool(np.all(exact)):
             return out
-        need = ~exact
-        out[need] = self._refine(out[need], self.base.sample(ts[need]))
+        need = np.flatnonzero(~exact)
+        out[need], ok = newton_project(
+            self.workmap.f,
+            self.workmap.jac,
+            out[need],
+            self.base.sample(ts[need]),
+            tol=self.newton_tol,
+            max_iter=self.newton_iters,
+        )
+        if not np.all(ok):
+            t = float(ts[need[~ok][0]])
+            raise LiftFailure(t, f"refinement did not reach the fiber over t = {t:.6g}")
         return out
-
-    def _refine(self, xs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        xs = xs.copy()
-        for _ in range(self.newton_iters):
-            r = np.atleast_2d(self.workmap.f(xs)) - targets
-            if float(np.abs(r).max(initial=0.0)) <= self.newton_tol:
-                break
-            J = self.workmap.jac(xs)
-            if J.ndim == 2:
-                J = J[None, :, :]
-            JJt = J @ np.swapaxes(J, 1, 2)
-            det_ok = np.abs(np.linalg.det(JJt)) > 1e-300
-            if not np.any(det_ok):
-                break
-            lam = np.linalg.solve(JJt[det_ok], r[det_ok][..., None])[..., 0]
-            xs[det_ok] -= np.einsum("kpn,kp->kn", J[det_ok], lam)
-        return xs
 
     def to_dict(self) -> dict:
         wm = None
@@ -435,11 +508,6 @@ class NumericLift(PathExpr):
             "workmap": wm,
             "base": None if self.base is None else self.base.to_dict(),
         }
-
-
-def path_eval(path: PathExpr, t: float) -> np.ndarray:
-    """Evaluate a path expression at a single parameter value."""
-    return path.at(t)
 
 
 # --- serialization ---------------------------------------------------------

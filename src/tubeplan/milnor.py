@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .errors import AmbiguousAssignment, TooFewPoints
-from .fibration import NAMED_WORKMAPS, WORKMAP_PARSERS, WorkMap, newton_project
-from .geometry import CircleActionLift, NODE_PARSERS, normalize, path_from_dict
+from .fibration import NAMED_WORKMAPS, WORKMAP_PARSERS, WorkMap
+from .geometry import CircleActionLift, NODE_PARSERS, newton_project, normalize, path_from_dict
 
 TRI_STATES = ("yes", "no", "unknown")
 
@@ -191,11 +192,6 @@ class Germ:
         )
 
 
-def eval_germ(germ: Germ, x: np.ndarray) -> np.ndarray:
-    """Realified germ value (Re f, Im f) at a realified configuration."""
-    return germ.f_real(x)
-
-
 def load_germ(path) -> Germ:
     with open(path, "r", encoding="utf-8") as fh:
         return Germ.from_dict(json.load(fh))
@@ -271,7 +267,7 @@ def _sphere_seeds(rng: np.random.Generator, k: int, n: int, radius: float) -> np
     return radius * dirs
 
 
-def _germ_tube_sampler_batch(germ: Germ):
+def _germ_tube_sampler(germ: Germ):
     def sample(rng: np.random.Generator, k: int) -> np.ndarray:
         out = np.empty((k, germ.n), dtype=float)
         have = 0
@@ -296,7 +292,6 @@ def _germ_tube_sampler_batch(germ: Germ):
 
 def tube_fibration(germ: Germ) -> WorkMap:
     """Work map of the germ restricted over its radius-eta value circle."""
-    batch = _germ_tube_sampler_batch(germ)
     return WorkMap(
         n=germ.n,
         p=2,
@@ -305,8 +300,7 @@ def tube_fibration(germ: Germ) -> WorkMap:
         eta=germ.eta,
         name=germ.name,
         germ=germ,
-        sampler=lambda rng: batch(rng, 1)[0],
-        sampler_batch=batch,
+        sampler=_germ_tube_sampler(germ),
         flags=germ.flags.to_dict(),
     )
 
@@ -356,27 +350,6 @@ def circle_action_lift(germ: Germ, x0: np.ndarray, dphi: float) -> CircleActionL
 # --- fiber and link sampling -------------------------------------------------
 
 
-def _union_find_labels(n_points: int, pairs) -> np.ndarray:
-    parent = np.arange(n_points)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    roots = np.fromiter((find(i) for i in range(n_points)), dtype=int, count=n_points)
-    labels = np.empty(n_points, dtype=int)
-    seen: dict[int, int] = {}
-    for i, r in enumerate(roots):
-        labels[i] = seen.setdefault(int(r), len(seen))
-    return labels
-
-
 @dataclass(frozen=True)
 class FiberSample:
     """Converged Newton projections onto one fiber, split into components."""
@@ -400,6 +373,9 @@ class FiberSample:
 
 
 def _cluster(points: np.ndarray) -> tuple[np.ndarray, int, float]:
+    # deferred: csgraph loads scipy.sparse.linalg, a tenth of `import tubeplan`
+    from scipy.sparse.csgraph import connected_components
+
     # Radius keys off the sparsest local density (the largest nearest
     # neighbor gap), not the median: on a continuous fiber the largest
     # sampling void grows like log(n) times the typical gap and a
@@ -409,9 +385,12 @@ def _cluster(points: np.ndarray) -> tuple[np.ndarray, int, float]:
     tree = cKDTree(points)
     nn = tree.query(points, k=2)[0][:, 1]
     radius = max(3.0 * float(nn.max()), RADIUS_FLOOR)
-    pairs = tree.query_pairs(radius)
-    labels = _union_find_labels(points.shape[0], pairs)
-    return labels, int(labels.max()) + 1, radius
+    n = points.shape[0]
+    pairs = tree.query_pairs(radius, output_type="ndarray")
+    graph = coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    # labels number the components by their lowest point index
+    n_comp, labels = connected_components(graph, directed=False)
+    return labels, n_comp, radius
 
 
 def sample_workmap_fiber(
@@ -570,14 +549,14 @@ def permutation_cycles(perm: np.ndarray) -> list[list[int]]:
 # --- regularity probes ---------------------------------------------------------
 
 
-def regularity_sigmas(wm: WorkMap, x: np.ndarray) -> tuple[float, float]:
+def regularity_sigmas(wm: WorkMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest singular values of Df and of Df stacked with the radial
-    gradient, at one configuration."""
+    gradient. Accepts batches over leading axes."""
     x = np.asarray(x, dtype=float)
     J = np.asarray(wm.jac(x), dtype=float)
-    pair = np.concatenate([J, (2.0 * x)[None, :]], axis=0)
-    s_map = float(np.linalg.svd(J, compute_uv=False)[-1])
-    s_pair = float(np.linalg.svd(pair, compute_uv=False)[-1])
+    pair = np.concatenate([J, (2.0 * x)[..., None, :]], axis=-2)
+    s_map = np.linalg.svd(J, compute_uv=False)[..., -1]
+    s_pair = np.linalg.svd(pair, compute_uv=False)[..., -1]
     return s_map, s_pair
 
 
@@ -639,10 +618,7 @@ def regularity_probe(germ: Germ, n_samples: int = 2000, seed: int = 0) -> Regula
     if have < n_samples:
         raise TooFewPoints(f"only {have}/{n_samples} tube samples converged")
 
-    J = germ.jac_real(pts)                          # (k, 2, n)
-    pair = np.concatenate([J, (2.0 * pts)[:, None, :]], axis=1)
-    s_map = np.linalg.svd(J, compute_uv=False)[:, -1]
-    s_pair = np.linalg.svd(pair, compute_uv=False)[:, -1]
+    s_map, s_pair = regularity_sigmas(tube_fibration(germ), pts)
     min_map = float(s_map.min())
     min_pair = float(s_pair.min())
     verdict = "probably regular" if min(min_map, min_pair) > PROBE_THRESHOLD else "suspect"
@@ -701,10 +677,6 @@ def hopf_germ(eta: float = HOPF_ETA) -> WorkMap:
     link is empty, and the fiber is a circle, so the relevant homotopy
     group is not trivial. Both facts are declared on the work map.
     """
-
-    def sampler_batch(rng: np.random.Generator, k: int) -> np.ndarray:
-        return _sphere_seeds(rng, k, 4, math.sqrt(eta))
-
     return WorkMap(
         n=4,
         p=3,
@@ -712,8 +684,7 @@ def hopf_germ(eta: float = HOPF_ETA) -> WorkMap:
         jac=_hopf_jac,
         eta=eta,
         name="hopf",
-        sampler=lambda rng: sampler_batch(rng, 1)[0],
-        sampler_batch=sampler_batch,
+        sampler=lambda rng, k: _sphere_seeds(rng, k, 4, math.sqrt(eta)),
         flags={"link_nonempty": "no", "pi_trivial": "no"},
     )
 

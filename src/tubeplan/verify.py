@@ -336,7 +336,7 @@ def run_contract_suite(
             delta = planner.delta
             base_regions = planner.regions
         else:
-            pair = planner._base_pair(a, b)
+            pair = planner.base_pair(a, b)
             delta = planner.base.delta
             base_regions = planner.base.regions
         scan = next(
@@ -443,9 +443,9 @@ def continuity_probe(
                 continue
             queries.append((t1, t2, rng.integers(1 << 31)))
         else:
-            e = planner.workmap.sampler(rng)
+            e = planner.workmap.sample(rng, 1)[0]
             w = planner.eta * normalize(rng.standard_normal(planner.workmap.p))
-            th1, th2 = planner._base_pair(e, w)
+            th1, th2 = planner.base_pair(e, w)
             if region.margin(th1, th2) < need:
                 continue
             queries.append((e, w, rng.integers(1 << 31)))
@@ -462,7 +462,7 @@ def continuity_probe(
                 p2 = region.build(a2, b2, base.delta)
             else:
                 # perturb the goal only; the start is pinned to a fiber
-                th1, th2 = planner._base_pair(a, b)
+                th1, th2 = planner.base_pair(a, b)
                 th2b = _perturb_on_sphere(sub_rng, th2, scale)
                 gamma1 = Scaled(region.build(th1, th2, base.delta), planner.eta)
                 gamma2 = Scaled(region.build(th1, th2b, base.delta), planner.eta)

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from tubeplan import cli
 from tubeplan.cli import main
+from tubeplan.errors import LiftFailure, TooFewPoints
 from tubeplan.milnor import brieskorn_germ, power_germ, save_germ, tube_fibration
 
 
@@ -133,6 +135,30 @@ def test_plan_arm_lift_failure_exit_code(capsys):
     doc = json.loads(err)
     assert doc["kind"] == "lift_failure"
     assert 0.0 <= doc["t_star"] <= 1.0
+
+
+def _raiser(ex):
+    def raise_it(*args, **kwargs):
+        raise ex
+
+    return raise_it
+
+
+def test_monodromy_too_few_points_kind(capsys, monkeypatch, cube_file):
+    monkeypatch.setattr(cli, "sample_fiber", _raiser(TooFewPoints("only 3 seeds converged")))
+    code, out, err = run_cli(capsys, "monodromy", "--germ", cube_file)
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "too_few_points"
+
+
+def test_verify_probe_lift_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "continuity_probe", _raiser(LiftFailure(0.5)))
+    code, out, err = run_cli(
+        capsys, "verify", "--rr-arm", "--queries", "2", "--probe-region", "1"
+    )
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "lift_failure" and doc["t_star"] == 0.5
 
 
 def test_verify_sphere(capsys):

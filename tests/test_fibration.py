@@ -19,12 +19,18 @@ from tubeplan.fibration import (
     TaskingPlanner,
     WorkMap,
     jacobian_fd,
-    lift,
     newton_project,
     pullback_planner,
     rr_arm_workmap,
 )
-from tubeplan.geometry import Constant, NormalizedSegment, Scaled, path_from_json, path_to_json
+from tubeplan.geometry import (
+    Constant,
+    NormalizedSegment,
+    NumericLift,
+    Scaled,
+    path_from_json,
+    path_to_json,
+)
 from tubeplan.milnor import brieskorn_germ, hopf_germ, power_germ, tube_fibration
 from tubeplan.sphere_planner import build_planner
 from tubeplan.verify import run_contract_suite
@@ -138,17 +144,6 @@ def test_exact_lift_rejects_detached_start():
         ExactCircleOracle().lift(wm, e, base)
 
 
-def test_free_lift_helper_delegates():
-    germ = power_germ(2)
-    wm = tube_fibration(germ)
-    e = np.array([math.sqrt(germ.eta), 0.0])
-    base = Constant(point=wm.f(e))
-    oracle = ExactCircleOracle()
-    a = oracle.lift(wm, e, base)
-    b = lift(oracle, wm, e, base)
-    assert np.array_equal(a.at(0.7), b.at(0.7))
-
-
 def test_exact_lift_projection_property(rng):
     germ = brieskorn_germ(2, 3)
     wm = tube_fibration(germ)
@@ -158,7 +153,7 @@ def test_exact_lift_projection_property(rng):
         e = wm.sample(rng, 1)[0]
         w = germ.eta * random_unit(rng, 2)
         idx, lam = planner.plan(e, w)
-        th1, th2 = planner._base_pair(e, w)
+        th1, th2 = planner.base_pair(e, w)
         gamma = Scaled(planner.base.regions[idx - 1].build(th1, th2, planner.delta), germ.eta)
         resid = np.linalg.norm(wm.f(lam.sample(ts)) - gamma.sample(ts), axis=1).max()
         assert resid <= 1e-12, f"projection residual {resid:.3e}"
@@ -212,6 +207,30 @@ def test_numeric_lift_serialization_round_trip(rng):
     again = path_from_json(path_to_json(lam))
     ts = np.linspace(0, 1, 113)
     assert np.array_equal(lam.sample(ts), again.sample(ts))
+
+
+def test_numeric_lift_arm_samples_between_knots_sit_on_base_path():
+    # the arm maps R^2 to R^3, so refinement needs the least-squares step
+    wm = rr_arm_workmap()
+    planner = pullback_planner(wm, oracle=NumericOracle())
+    _, lam = planner.plan(np.array([0.3, 0.4]), np.array([0.6, 0.0, 0.8]))
+    ts = np.linspace(0, 1, 65)  # the CLI's default grid: only 0 and 1 are knots
+    resid = np.linalg.norm(wm.f(lam.sample(ts)) - lam.base.sample(ts), axis=1).max()
+    assert resid <= 1e-9, f"samples sit {resid:.3e} off the base path"
+
+
+def test_numeric_lift_refinement_failure_raises():
+    # no arm configuration maps to a value of norm 2, so refinement cannot converge
+    lam = NumericLift(
+        knots=np.array([0.0, 1.0]),
+        points=np.array([[0.1, 0.2], [0.3, 0.4]]),
+        workmap=rr_arm_workmap(),
+        base=Constant(point=np.array([0.0, 0.0, 2.0])),
+    )
+    assert np.array_equal(lam.at(1.0), [0.3, 0.4])  # knots are returned as stored
+    with pytest.raises(LiftFailure) as err:
+        lam.sample(np.array([0.0, 0.25, 0.5]))
+    assert err.value.t_star == 0.25
 
 
 # --- planner structure ------------------------------------------------------------

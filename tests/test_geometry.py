@@ -27,7 +27,6 @@ from tubeplan.geometry import (
     Scaled,
     StereoSegment,
     normalize,
-    path_eval,
     path_from_dict,
     path_from_json,
     path_to_json,
@@ -169,7 +168,7 @@ def test_constant_everywhere():
     x = np.array([0.3, -0.4, 0.5])
     c = Constant(point=x)
     for t in (0.0, 0.25, 1.0):
-        assert np.array_equal(path_eval(c, t), x)
+        assert np.array_equal(c.at(t), x)
 
 
 def test_normalized_segment_midpoint():

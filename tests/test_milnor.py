@@ -7,19 +7,22 @@ power d=3 has eta = 0.5^3/10 = 0.0125, radius 0.0125^(1/3).
 
 import cmath
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from tubeplan.errors import AmbiguousAssignment, TooFewPoints
+from tubeplan.fibration import rr_arm_workmap
 from tubeplan.milnor import (
+    _cluster,
     Germ,
     GermFlags,
     brieskorn_germ,
     circle_action_lift,
-    eval_germ,
     hopf_germ,
     load_germ,
     monodromy_components,
@@ -39,6 +42,8 @@ from tubeplan.milnor import (
 
 from conftest import random_unit
 
+GERM_DIR = pathlib.Path(__file__).resolve().parent.parent / "germs"
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -46,13 +51,13 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def test_power_germ_value():
-    v = eval_germ(power_germ(2), np.array([0.1, 0.0]))
+    v = power_germ(2).f_real(np.array([0.1, 0.0]))
     assert np.allclose(v, [0.01, 0.0], atol=1e-18)
 
 
 def test_brieskorn_value():
     # z^2 + w^3 at (0, 0.1) is 0.001
-    v = eval_germ(brieskorn_germ(2, 3), np.array([0.0, 0.0, 0.1, 0.0]))
+    v = brieskorn_germ(2, 3).f_real(np.array([0.0, 0.0, 0.1, 0.0]))
     assert np.allclose(v, [0.001, 0.0], atol=1e-18)
 
 
@@ -64,7 +69,7 @@ def test_complex_coefficients_respected():
         weights=(1,),
         degree=1,
     )
-    v = eval_germ(g, np.array([0.2, 0.0]))
+    v = g.f_real(np.array([0.2, 0.0]))
     assert np.allclose(v, [0.0, 0.2])
 
 
@@ -78,8 +83,8 @@ def test_weighted_equivariance(seed):
     theta = rng.uniform(0, 2 * math.pi)
     z = rng.standard_normal(2) * 0.4 + 1j * rng.standard_normal(2) * 0.4
     rotated = z * np.exp(1j * np.array(germ.weights) * theta)
-    lhs = complex(*eval_germ(germ, _interleave(rotated)))
-    rhs = cmath.exp(1j * germ.degree * theta) * complex(*eval_germ(germ, _interleave(z)))
+    lhs = complex(*germ.f_real(_interleave(rotated)))
+    rhs = cmath.exp(1j * germ.degree * theta) * complex(*germ.f_real(_interleave(z)))
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -268,6 +273,44 @@ def test_fiber_determinism():
 def test_fiber_too_few_seeds_rejected():
     with pytest.raises(ValueError):
         sample_fiber(power_germ(2), n_seeds=50)
+
+
+def test_arm_fiber_sampler_converges_onto_the_fiber():
+    # the arm maps R^2 to R^3, so projection needs the least-squares step;
+    # unit-ball seeds all reach the preimage (asin 0.8, 0)
+    fs = sample_workmap_fiber(rr_arm_workmap(), np.array([0.6, 0.0, 0.8]), n_seeds=500)
+    assert fs.n_converged == 500
+    assert np.abs(fs.points - [math.asin(0.8), 0.0]).max() < 1e-9
+
+
+def _reference_labels(points, radius):
+    """Plain union-find over the proximity pairs; components are numbered
+    in the order of their lowest point index."""
+    parent = list(range(points.shape[0]))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in cKDTree(points).query_pairs(radius):
+        parent[find(i)] = find(j)
+    seen = {}
+    return np.array([seen.setdefault(find(i), len(seen)) for i in range(points.shape[0])])
+
+
+CLUSTER_GERMS = {p.name: load_germ(p) for p in GERM_DIR.glob("*.json")}
+CLUSTER_GERMS.update({f"z^{d}": power_germ(d) for d in range(1, 6)})
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTER_GERMS))
+def test_cluster_labels_match_reference_union_find(name):
+    points = sample_fiber(CLUSTER_GERMS[name], n_seeds=600, seed=5).points
+    labels, n_comp, radius = _cluster(points)
+    want = _reference_labels(points, radius)
+    assert np.array_equal(labels, want)
+    assert n_comp == want.max() + 1
 
 
 def test_component_sizes_sum():
