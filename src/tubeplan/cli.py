@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import AmbiguousAssignment, LiftFailure, TooFewPoints, Uncovered
-from .fibration import NumericOracle, pullback_planner, rr_arm_workmap
+from .fibration import pullback_planner, rr_arm_workmap
 from .geometry import write_path_csv
 from .milnor import (
     hopf_germ,
@@ -77,7 +77,7 @@ def _emit(args, obj) -> None:
 
 def _emit_path(args, payload: dict, path, samples: int) -> None:
     ts = np.linspace(0.0, 1.0, samples)
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 write_path_csv(path, ts, fh)
@@ -165,9 +165,8 @@ def _verify_planner(parser, args):
         return build_planner(args.sphere, args.margin)
     if args.germ is not None:
         return pullback_planner(tube_fibration(load_germ(args.germ)), delta=args.margin)
-    if args.hopf:
-        return pullback_planner(hopf_germ(), oracle=NumericOracle(), delta=args.margin)
-    return pullback_planner(rr_arm_workmap(), oracle=NumericOracle(), delta=args.margin)
+    wm = hopf_germ() if args.hopf else rr_arm_workmap()
+    return pullback_planner(wm, delta=args.margin)
 
 
 def cmd_verify(parser, args) -> int:
@@ -253,13 +252,14 @@ def cmd_link(parser, args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, *, samples: bool = False, fmt: bool = False) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sp.add_argument("--margin", type=float, default=DEFAULT_MARGIN, help="region margin delta")
+def _add_common(sp, *, seed: bool = False, margin: bool = False, path: bool = False) -> None:
+    if seed:
+        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    if margin:
+        sp.add_argument("--margin", type=float, default=DEFAULT_MARGIN, help="region margin delta")
     sp.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    if samples:
+    if path:
         sp.add_argument("--samples", type=int, default=65, help="sample count along the path")
-    if fmt:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -274,20 +274,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, required=True, help="sphere dimension m")
     sp.add_argument("--start", required=True, help="comma-separated unit vector")
     sp.add_argument("--goal", required=True, help="comma-separated unit vector")
-    _add_common(sp, samples=True, fmt=True)
+    _add_common(sp, margin=True, path=True)
     sp.set_defaults(func=cmd_plan_sphere)
 
     sp = sub.add_parser("plan-tube", help="plan from a tube point to a value angle")
     sp.add_argument("--germ", required=True, help="germ JSON file")
     sp.add_argument("--start", required=True, help="comma-separated tube configuration")
     sp.add_argument("--angle", type=float, required=True, help="goal value angle (radians)")
-    _add_common(sp, samples=True, fmt=True)
+    _add_common(sp, margin=True, path=True)
     sp.set_defaults(func=cmd_plan_tube)
 
     sp = sub.add_parser("plan-arm", help="plan the two-joint arm to a direction goal")
     sp.add_argument("--start", required=True, help="joint angles 'alpha,beta'")
     sp.add_argument("--goal", required=True, help="unit direction 'x,y,z'")
-    _add_common(sp, samples=True, fmt=True)
+    _add_common(sp, margin=True, path=True)
     sp.set_defaults(func=cmd_plan_arm)
 
     sp = sub.add_parser("verify", help="run the randomized contract suite")
@@ -299,21 +299,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--knots", type=int, default=256)
     sp.add_argument("--deep", type=int, default=None, help="dense-check only this many queries")
     sp.add_argument("--probe-region", type=int, default=None, help="attach a continuity probe")
-    _add_common(sp)
+    _add_common(sp, seed=True, margin=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("fiber", help="sample one fiber and count components")
     sp.add_argument("--germ", required=True)
     sp.add_argument("--angle", type=float, default=0.0)
     sp.add_argument("--seeds", type=int, default=1500)
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_fiber)
 
     sp = sub.add_parser("monodromy", help="full-circle component permutation")
     sp.add_argument("--germ", required=True)
     sp.add_argument("--angle", type=float, default=0.0)
     sp.add_argument("--seeds", type=int, default=1500)
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_monodromy)
 
     sp = sub.add_parser("certify", help="complexity certificate for a work map")
@@ -321,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hopf", action="store_true")
     sp.add_argument("--quantity", choices=("tc", "sec"), default="tc")
     sp.add_argument("--seeds", type=int, default=1500)
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("link", help="sample the zero set on the epsilon sphere")
     sp.add_argument("--germ", required=True)
     sp.add_argument("--seeds", type=int, default=1000)
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_link)
 
     return parser

@@ -54,9 +54,9 @@ class WorkMap:
     f: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     eta: float
+    sampler: Callable[[np.random.Generator, int], np.ndarray]
     name: str = ""
     germ: Optional[object] = None
-    sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     singular_values: Optional[np.ndarray] = None
     flags: Optional[dict] = None
 
@@ -68,8 +68,6 @@ class WorkMap:
         return None
 
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        if self.sampler is None:
-            raise ValueError(f"work map {self.name!r} has no domain sampler")
         return self.sampler(rng, k)
 
 
@@ -97,8 +95,8 @@ class ExactCircleOracle:
     plane angle is unambiguous pointwise).
     """
 
-    lift_tol: float = EXACT_LIFT_TOL
-    kind: str = "exact"
+    lift_tol = EXACT_LIFT_TOL
+    kind = "exact"
 
     def lift(self, wm: WorkMap, e: np.ndarray, path: PathExpr) -> PathExpr:
         if wm.germ is None or wm.p != 2:
@@ -146,13 +144,13 @@ class NumericOracle:
     tracked endpoint could not be certified.
     """
 
-    lift_tol: float = NUMERIC_LIFT_TOL
-    n_knots: int = 256
-    newton_tol: float = 1e-10
-    max_newton_iter: int = 25
-    max_halvings: int = 12
-    singular_margin: float = 1e-2
-    kind: str = "numeric"
+    lift_tol = NUMERIC_LIFT_TOL
+    n_knots = 256
+    newton_tol = 1e-10
+    max_newton_iter = 25
+    max_halvings = 12
+    singular_margin = 1e-2
+    kind = "numeric"
 
     def lift(self, wm: WorkMap, e: np.ndarray, path: PathExpr) -> PathExpr:
         e = np.asarray(e, dtype=float)
@@ -264,10 +262,6 @@ class TaskingPlanner:
             raise ValueError("goal value does not sit on the task sphere")
         return normalize(fe), normalize(w)
 
-    def dispatch(self, e: np.ndarray, w: np.ndarray) -> int:
-        th1, th2 = self.base_pair(e, w)
-        return self.base.dispatch(th1, th2)
-
     def plan(self, e: np.ndarray, w: np.ndarray) -> tuple[int, PathExpr]:
         """Return (region index, lifted path from e onto the fiber of w)."""
         e = np.asarray(e, dtype=float)
@@ -279,24 +273,19 @@ class TaskingPlanner:
 
 
 def pullback_planner(
-    wm: WorkMap,
-    base: Optional[SpherePlanner] = None,
-    oracle: Optional[object] = None,
-    delta: float = DEFAULT_MARGIN,
+    wm: WorkMap, oracle: Optional[object] = None, delta: float = DEFAULT_MARGIN
 ) -> TaskingPlanner:
     """Tasking planner over a work map, defaulting to the right oracle.
 
     Germ-backed plane-valued maps lift exactly; everything else gets the
     numeric continuation oracle.
     """
-    if base is None:
-        base = build_planner(wm.p - 1, delta)
     if oracle is None:
         if wm.germ is not None and wm.p == 2:
             oracle = ExactCircleOracle()
         else:
             oracle = NumericOracle()
-    return TaskingPlanner(workmap=wm, base=base, oracle=oracle)
+    return TaskingPlanner(workmap=wm, base=build_planner(wm.p - 1, delta), oracle=oracle)
 
 
 # --- concrete non-germ work maps -------------------------------------------

@@ -31,6 +31,7 @@ ZERO_TOL = 1e-12      # refuse to normalize below this norm
 POLE_MARGIN = 1e-9    # stereographic chart domain guard: last coord < 1 - this
 JUNCTION_TOL = 1e-9   # concatenation continuity at the midpoint
 DOMAIN_TOL = 1e-12    # slack outside [0, 1] before DomainError
+NEWTON_BLOWUP = 1e6   # a Gauss-Newton step longer than this abandons its row
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -143,7 +144,6 @@ def newton_project(
     targets: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 50,
-    blowup: float = 1e6,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched Gauss-Newton projection onto {f(x) = target}.
 
@@ -153,37 +153,27 @@ def newton_project(
     """
     xs = np.array(x0s, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    k = xs.shape[0]
-    active = np.ones(k, dtype=bool)
-    for _ in range(max_iter):
-        if not np.any(active):
+    ok = np.zeros(xs.shape[0], dtype=bool)
+    live = np.arange(xs.shape[0])
+    # max_iter steps, each after a residual check; one last check follows
+    for it in range(max_iter + 1):
+        if live.size == 0:
             break
-        r = np.atleast_2d(f(xs[active])) - targets[active]
-        resid = np.linalg.norm(r, axis=1)
-        done = resid <= tol
-        if np.any(done):
-            idx = np.flatnonzero(active)[done]
-            active[idx] = False
-            r = r[~done]
-            if r.shape[0] == 0:
-                continue
-        rows = np.flatnonzero(active)
-        dx, ok = gauss_newton_step(jac(xs[rows]), r)
-        xs[rows] -= dx
+        r = np.atleast_2d(f(xs[live])) - targets[live]
+        done = np.linalg.norm(r, axis=1) <= tol
+        ok[live[done]] = True
+        live, r = live[~done], r[~done]
+        if it == max_iter or live.size == 0:
+            break
+        dx, good = gauss_newton_step(jac(xs[live]), r)
+        xs[live] -= dx
         # degenerate normal matrix (a NaN step) or blow-up: give up on the row
-        wild = ~ok | ~np.all(np.isfinite(xs[rows]), axis=1) | (
-            np.linalg.norm(dx, axis=1) > blowup
+        wild = ~good | ~np.all(np.isfinite(xs[live]), axis=1) | (
+            np.linalg.norm(dx, axis=1) > NEWTON_BLOWUP
         )
-        if np.any(wild):
-            xs[rows[wild]] = np.nan
-            active[rows[wild]] = False
-    finite = np.all(np.isfinite(xs), axis=1)
-    res = np.full(k, np.inf)
-    if np.any(finite):
-        res[finite] = np.linalg.norm(
-            np.atleast_2d(f(xs[finite])) - targets[finite], axis=1
-        )
-    return xs, res <= tol
+        xs[live[wild]] = np.nan
+        live = live[~wild]
+    return xs, ok
 
 
 class PathExpr:

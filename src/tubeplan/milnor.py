@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.spatial import cKDTree
 
 from .errors import AmbiguousAssignment, TooFewPoints
 from .fibration import NAMED_WORKMAPS, WORKMAP_PARSERS, WorkMap
@@ -373,8 +371,11 @@ class FiberSample:
 
 
 def _cluster(points: np.ndarray) -> tuple[np.ndarray, int, float]:
-    # deferred: csgraph loads scipy.sparse.linalg, a tenth of `import tubeplan`
+    # deferred: at module level scipy.sparse and scipy.spatial make
+    # `import tubeplan`, which every CLI call pays, several times slower
+    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
 
     # Radius keys off the sparsest local density (the largest nearest
     # neighbor gap), not the median: on a continuous fiber the largest
@@ -511,6 +512,8 @@ def sample_link(germ: Germ, n_seeds: int = 1000, seed: int = 0) -> LinkSample:
 def monodromy_components(germ: Germ, fiber: FiberSample) -> np.ndarray:
     """Transport one representative per component around the full value
     circle and return the induced permutation of component labels."""
+    from scipy.spatial import cKDTree  # deferred, as in _cluster
+
     tree = cKDTree(fiber.points)
     perm = np.full(fiber.n_components, -1, dtype=int)
     for comp in range(fiber.n_components):
@@ -590,35 +593,9 @@ def regularity_probe(germ: Germ, n_samples: int = 2000, seed: int = 0) -> Regula
     """Scan tube samples for rank degeneration of f and of (f, ||x||^2)."""
     if n_samples < 1000:
         raise ValueError("probe needs at least 1000 samples to mean anything")
-    rng = np.random.default_rng(seed)
-    eta2 = germ.eta**2
-
-    def g(x: np.ndarray) -> np.ndarray:
-        v = germ.f_real(np.atleast_2d(x))
-        return (np.sum(v * v, axis=1) - eta2)[:, None]
-
-    def gjac(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        v = germ.f_real(x)
-        J = germ.jac_real(x)
-        return 2.0 * np.einsum("kp,kpn->kn", v, J)[:, None, :]
-
-    pts = np.empty((n_samples, germ.n), dtype=float)
-    have = 0
-    for _ in range(50):
-        want = n_samples - have
-        seeds = _ball_seeds(rng, 2 * want, germ.n, germ.epsilon)
-        xs, ok = newton_project(g, gjac, seeds, np.zeros((2 * want, 1)), tol=1e-12)
-        ok &= np.linalg.norm(xs, axis=1) <= germ.epsilon + TUBE_TOL
-        got = xs[ok][:want]
-        pts[have : have + got.shape[0]] = got
-        have += got.shape[0]
-        if have == n_samples:
-            break
-    if have < n_samples:
-        raise TooFewPoints(f"only {have}/{n_samples} tube samples converged")
-
-    s_map, s_pair = regularity_sigmas(tube_fibration(germ), pts)
+    wm = tube_fibration(germ)
+    pts = wm.sample(np.random.default_rng(seed), n_samples)
+    s_map, s_pair = regularity_sigmas(wm, pts)
     min_map = float(s_map.min())
     min_pair = float(s_pair.min())
     verdict = "probably regular" if min(min_map, min_pair) > PROBE_THRESHOLD else "suspect"

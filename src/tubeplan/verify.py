@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -151,21 +151,20 @@ def certify_sec(source, fiber_components: Optional[int] = None, **overrides) -> 
     """Section-number certificate for a plane-valued tube map.
 
     A disconnected fiber rules out any global section (value 2); a
-    connected fiber yields one (value 1). Component counts usually come
-    from `sample_fiber`, so the provenance default is 'sampled'.
+    connected fiber yields one (value 1). A count passed as
+    `fiber_components` comes from `sample_fiber` and is recorded as
+    'sampled'; a count already on the inputs keeps its provenance.
     """
+    if fiber_components is not None:
+        overrides |= {"fiber_components": int(fiber_components), "provenance": "sampled"}
     ci = _as_inputs(source, **overrides)
     if ci.p != 2:
         raise WrongCodomain(f"section certificates need a plane target, got p = {ci.p}")
-    comps = fiber_components if fiber_components is not None else ci.fiber_components
+    comps = ci.fiber_components
     if comps is None:
         raise ValueError("need a fiber component count; run sample_fiber first")
     if comps < 1:
         raise ValueError("component count must be positive")
-    if ci.fiber_components != comps or ci.provenance == "declared":
-        ci = CertifyInputs(
-            **(ci.__dict__ | {"fiber_components": int(comps), "provenance": "sampled"})
-        )
     assumptions = ("component-count-is-exhaustive",) if ci.provenance == "sampled" else ()
     if comps >= 2:
         return Certificate(
@@ -277,7 +276,6 @@ def run_contract_suite(
     knots: int = 256,
     deep: Optional[int] = None,
     queries: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    endpoint_tol: Optional[float] = None,
 ) -> VerificationReport:
     """Randomized planner check: coverage, minimal-index dispatch,
     endpoint contracts, and (on the first `deep` queries) dense on-sphere
@@ -300,9 +298,7 @@ def run_contract_suite(
     deep_count = n_queries if deep is None else min(deep, n_queries)
     ts = np.linspace(0.0, 1.0, knots)
 
-    if endpoint_tol is None:
-        endpoint_tol = NORM_TOL if is_sphere else planner.oracle.lift_tol
-    proj_tol = None if is_sphere else planner.oracle.lift_tol
+    tol = NORM_TOL if is_sphere else planner.oracle.lift_tol
 
     report = VerificationReport(
         planner=_planner_id(planner),
@@ -359,7 +355,7 @@ def run_contract_suite(
                 float(np.linalg.norm(planner.workmap.f(path.at(1.0)) - b)),
             )
         report.max_endpoint_error = max(report.max_endpoint_error, err)
-        if err > endpoint_tol:
+        if err > tol:
             report.failures.append(
                 {"index": i, "kind": "endpoint", "detail": f"error {err:.3e}"}
             )
@@ -382,7 +378,7 @@ def run_contract_suite(
                 dev = float(np.abs(np.linalg.norm(vals, axis=1) - planner.eta).max())
                 max_proj = max(max_proj, proj)
                 max_surface = max(max_surface, dev)
-                if proj > proj_tol:
+                if proj > tol:
                     report.failures.append(
                         {"index": i, "kind": "projection", "detail": f"residual {proj:.3e}"}
                     )
@@ -397,6 +393,10 @@ def run_contract_suite(
 
 # --- continuity probe ----------------------------------------------------------
 
+# Perturbation scales, largest first, and the sample grid of the probe.
+PROBE_SCALES = (1e-3, 1e-4, 1e-5)
+PROBE_KNOTS = 256
+
 
 def _perturb_on_sphere(rng, t: np.ndarray, scale: float) -> np.ndarray:
     xi = rng.standard_normal(t.shape[0])
@@ -406,12 +406,7 @@ def _perturb_on_sphere(rng, t: np.ndarray, scale: float) -> np.ndarray:
 
 
 def continuity_probe(
-    planner,
-    region_index: int,
-    scales: Sequence[float] = (1e-3, 1e-4, 1e-5),
-    n_pairs: int = 64,
-    seed: int = 0,
-    knots: int = 256,
+    planner, region_index: int, n_pairs: int = 64, seed: int = 0
 ) -> list[dict]:
     """Max pointwise path deviation under query perturbations of
     shrinking scale, within one region.
@@ -419,16 +414,15 @@ def continuity_probe(
     Base queries sit well inside the region (margin at least
     delta + delta/2 plus slack for the perturbation) and are shared
     across scales, so the returned max deviations of a continuous local
-    rule decrease monotonically along `scales`.
+    rule decrease monotonically along `PROBE_SCALES`.
     """
     rng = np.random.default_rng(seed)
-    ts = np.linspace(0.0, 1.0, knots)
-    scales = sorted((float(s) for s in scales), reverse=True)
+    ts = np.linspace(0.0, 1.0, PROBE_KNOTS)
     is_sphere = isinstance(planner, SpherePlanner)
     base = planner if is_sphere else planner.base
     region = base.regions[region_index - 1]
     # margin head-room: interior by delta/2 plus room for the perturbation
-    need = 1.5 * base.delta + 4.0 * scales[0]
+    need = 1.5 * base.delta + 4.0 * PROBE_SCALES[0]
 
     queries = []
     attempts = 0
@@ -451,7 +445,7 @@ def continuity_probe(
             queries.append((e, w, rng.integers(1 << 31)))
 
     rows = []
-    for scale in scales:
+    for scale in PROBE_SCALES:
         devs = np.empty(len(queries))
         for qi, (a, b, sub) in enumerate(queries):
             sub_rng = np.random.default_rng(sub)

@@ -231,6 +231,20 @@ def test_certify_hopf_sec_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan-sphere", "--dim", "1", "--start", "1,0", "--goal", "0,1", "--seed", "3"],
+        ["fiber", "--germ", "germs/cube.json", "--margin", "0.05"],
+    ],
+    ids=["plan-sphere-seed", "fiber-margin"],
+)
+def test_flag_the_command_never_reads_is_rejected(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
 def test_link_command(capsys, brieskorn_file):
     code, out, _ = run_cli(capsys, "link", "--germ", brieskorn_file, "--seeds", "200")
     doc = json.loads(out)

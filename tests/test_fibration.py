@@ -109,6 +109,15 @@ def test_newton_project_flags_degenerate_seed():
     assert ok[1]
 
 
+def test_newton_project_reports_rows_live_at_max_iter():
+    # two steps cannot bring (100, 0) onto the unit circle; (0, 1) is on it
+    x0 = np.array([[100.0, 0.0], [0.0, 1.0]])
+    xs, ok = newton_project(_circle_f, _circle_jac, x0, np.zeros((2, 1)), max_iter=2)
+    assert ok.tolist() == [False, True]
+    assert np.all(np.isfinite(xs[0])) and xs[0, 0] > 1.0
+    assert xs[1].tolist() == [0.0, 1.0]
+
+
 # --- exact circle-action lifting ------------------------------------------------
 
 

@@ -7,7 +7,10 @@ power d=3 has eta = 0.5^3/10 = 0.0125, radius 0.0125^(1/3).
 
 import cmath
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import tubeplan
 from tubeplan.errors import AmbiguousAssignment, TooFewPoints
 from tubeplan.fibration import rr_arm_workmap
 from tubeplan.milnor import (
@@ -360,11 +364,26 @@ def test_permutation_cycles_shape():
     assert sorted(map(len, permutation_cycles(np.array([1, 0, 2])))) == [1, 2]
 
 
+def test_import_leaves_scipy_sparse_and_spatial_unloaded():
+    # only fiber clustering and monodromy need them; every CLI call pays the import
+    code = (
+        "import sys, tubeplan; "
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.spatial') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(tubeplan.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 # --- regularity probes ----------------------------------------------------------------
 
 
-def test_probe_verdict_for_isolated_singularity():
-    probe = regularity_probe(brieskorn_germ(2, 3), n_samples=1000, seed=0)
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("germ", [brieskorn_germ(2, 3), product_germ()], ids=lambda g: g.name)
+def test_probe_verdict_for_isolated_singularity(germ, seed):
+    probe = regularity_probe(germ, n_samples=1000, seed=seed)
     assert probe.verdict == "probably regular"
     assert probe.min_sigma_map > 1e-6
     assert probe.min_sigma_pair >= 0.0

@@ -86,6 +86,13 @@ def test_sec_connected_fiber():
     assert "fiber-connected-global-section" in cert.tags
 
 
+def test_sec_keeps_a_declared_count_declared():
+    cert = certify_sec(CertifyInputs(p=2, fiber_components=2, provenance="declared"))
+    assert cert.exact == 2
+    assert cert.inputs["provenance"] == "declared"
+    assert cert.assumptions == ()
+
+
 def test_sec_requires_plane_codomain():
     with pytest.raises(WrongCodomain):
         certify_sec(hopf_germ(), fiber_components=1)
