@@ -19,7 +19,14 @@ import sys
 
 import numpy as np
 
-from .errors import AmbiguousAssignment, LiftFailure, TooFewPoints, Uncovered
+from .errors import (
+    AmbiguousAssignment,
+    BadMargin,
+    GermFileError,
+    LiftFailure,
+    TooFewPoints,
+    Uncovered,
+)
 from .fibration import pullback_planner, rr_arm_workmap
 from .geometry import write_path_csv
 from .milnor import (
@@ -46,6 +53,8 @@ FAILURES = {
     LiftFailure: ("lift_failure", EXIT_LIFT),
     TooFewPoints: ("too_few_points", EXIT_CONTRACT),
     AmbiguousAssignment: ("ambiguous_assignment", EXIT_CONTRACT),
+    BadMargin: ("bad_margin", EXIT_PARSE),
+    GermFileError: ("bad_germ_file", EXIT_PARSE),
 }
 
 
@@ -221,6 +230,8 @@ def cmd_monodromy(parser, args) -> int:
 def cmd_certify(parser, args) -> int:
     if (args.germ is None) == (not args.hopf):
         parser.error("pick exactly one of --germ / --hopf")
+    if (args.hopf or args.quantity == "tc") and (args.seed, args.seeds) != (None, None):
+        parser.error("--seed and --seeds are read only by --quantity sec on a germ")
     if args.hopf:
         if args.quantity == "sec":
             parser.error("section certificates need a plane-valued germ")
@@ -230,7 +241,8 @@ def cmd_certify(parser, args) -> int:
     if args.quantity == "tc":
         cert = certify_tc(germ)
     else:
-        fs = sample_fiber(germ, n_seeds=args.seeds, seed=args.seed)
+        n_seeds = 1500 if args.seeds is None else args.seeds
+        fs = sample_fiber(germ, n_seeds=n_seeds, seed=0 if args.seed is None else args.seed)
         cert = certify_sec(germ, fiber_components=fs.n_components)
     _emit(args, cert.to_dict())
     return EXIT_OK
@@ -320,8 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--germ", default=None)
     sp.add_argument("--hopf", action="store_true")
     sp.add_argument("--quantity", choices=("tc", "sec"), default="tc")
-    sp.add_argument("--seeds", type=int, default=1500)
-    _add_common(sp, seed=True)
+    # read only by --quantity sec on a germ, which samples the fiber; None
+    # marks a flag left unset, so that the other modes can reject it
+    sp.add_argument("--seeds", type=int, default=None, help="fiber seeds (default 1500)")
+    sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    _add_common(sp)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("link", help="sample the zero set on the epsilon sphere")

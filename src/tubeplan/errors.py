@@ -32,6 +32,10 @@ class BadMargin(ValueError):
     """Planner margin outside the supported (0, 0.1] range."""
 
 
+class GermFileError(ValueError):
+    """A germ file is missing, unreadable or not valid JSON."""
+
+
 class AntipodalPair(ValueError):
     """Segment planner asked to join (nearly) antipodal points."""
 

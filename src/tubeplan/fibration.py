@@ -107,6 +107,10 @@ class ExactCircleOracle:
             raise ValueError(f"start sits {gap:.3e} off the base point")
         return self._lift(wm.germ, e, path)
 
+    def lift_batch(self, wm: WorkMap, starts: np.ndarray, paths: list) -> list:
+        """`lift` on every row; exact lifts are closed form, so a loop serves."""
+        return [self.lift(wm, e, path) for e, path in zip(starts, paths, strict=True)]
+
     def _lift(self, germ, x0: np.ndarray, path: PathExpr) -> PathExpr:
         if isinstance(path, Scaled):
             inner = path.path
@@ -135,9 +139,12 @@ class NumericOracle:
     """Predictor-corrector continuation lift along the base path.
 
     Tangent predictor from the Gauss-Newton step for Df . dx = dgamma,
-    Newton corrector back onto the level set with the same step,
-    recursive step halving on corrector failure. The result is a dense
-    knot table wrapped in a NumericLift node.
+    Newton corrector (`newton_project`) back onto the level set with the
+    same step, recursive step halving on corrector failure. The rows of
+    a batch are tracked in lockstep, knot by knot (Allgower & Georg,
+    Introduction to Numerical Continuation Methods, SIAM 2003, ch. 6);
+    a single lift is a batch of one. Each result is a dense knot table
+    wrapped in a NumericLift node.
 
     Goals within singular_margin of a declared rank-drop value of the
     work map are refused up front: the fiber degenerates there and the
@@ -153,65 +160,93 @@ class NumericOracle:
     kind = "numeric"
 
     def lift(self, wm: WorkMap, e: np.ndarray, path: PathExpr) -> PathExpr:
-        e = np.asarray(e, dtype=float)
-        gap = float(np.linalg.norm(wm.f(e) - path.at(0.0)))
-        if gap > 10.0 * self.lift_tol:
-            raise ValueError(f"start sits {gap:.3e} off the base point")
-        if wm.singular_values is not None:
-            goal = path.at(1.0)
-            d = float(np.min(np.linalg.norm(wm.singular_values - goal, axis=1)))
-            if d < self.singular_margin:
-                raise LiftFailure(
-                    1.0,
-                    f"goal lies {d:.3e} from a rank-drop value of {wm.name!r}; "
-                    f"tracking is refused inside margin {self.singular_margin:.0e}",
-                )
+        (lam,) = self.lift_batch(wm, [e], [path])
+        if isinstance(lam, LiftFailure):
+            raise lam
+        return lam
+
+    def lift_batch(self, wm: WorkMap, starts: np.ndarray, paths: list) -> list:
+        """Lift paths[i] from starts[i] for every row, tracking all rows in lockstep.
+
+        Returns one NumericLift, or the LiftFailure that ended the row,
+        per row. Each knot takes one predictor step and one corrector
+        call over the whole block of live rows; a row whose corrector
+        fails is halved on its own and either rejoins the block or fails.
+        """
+        starts = np.asarray(starts, dtype=float)
+        out: list = [None] * len(paths)
+        for i, (e, path) in enumerate(zip(starts, paths, strict=True)):
+            gap = float(np.linalg.norm(wm.f(e) - path.at(0.0)))
+            if gap > 10.0 * self.lift_tol:
+                raise ValueError(f"start sits {gap:.3e} off the base point")
+            if wm.singular_values is not None:
+                goal = path.at(1.0)
+                d = float(np.min(np.linalg.norm(wm.singular_values - goal, axis=1)))
+                if d < self.singular_margin:
+                    out[i] = LiftFailure(
+                        1.0,
+                        f"goal lies {d:.3e} from a rank-drop value of {wm.name!r}; "
+                        f"tracking is refused inside margin {self.singular_margin:.0e}",
+                    )
+        rows = np.array([i for i, o in enumerate(out) if o is None], dtype=int)
+        if rows.size == 0:
+            return out
         ts = np.linspace(0.0, 1.0, self.n_knots)
-        gammas = path.sample(ts)
-        xs = np.empty((self.n_knots, e.shape[0]), dtype=float)
-        xs[0] = e
+        # knot-major tables, so that each knot's block of rows is contiguous
+        gammas = np.stack([paths[i].sample(ts) for i in rows], axis=1)  # (knots, rows, p)
+        steps = np.diff(gammas, axis=0)
+        table = np.empty((self.n_knots, rows.size, starts.shape[1]), dtype=float)
+        table[0] = x = starts[rows]
+        live = np.arange(rows.size)  # columns of the tables still tracked
         for k in range(self.n_knots - 1):
-            xs[k + 1] = self._track(
-                wm, path, xs[k], ts[k], ts[k + 1], gammas[k], gammas[k + 1], 0
-            )
-        return NumericLift(
-            knots=ts,
-            points=xs,
-            workmap=wm,
-            base=path,
-            newton_tol=self.newton_tol,
-            newton_iters=self.max_newton_iter,
+            xnew, ok = self._advance(wm, x, steps[k], gammas[k + 1])
+            if np.count_nonzero(ok) < ok.size:
+                keep = np.ones(live.size, dtype=bool)
+                for j in np.flatnonzero(~ok):
+                    i = rows[live[j]]
+                    try:
+                        xnew[j] = self._halve(
+                            wm, paths[i], x[j : j + 1], ts[k], ts[k + 1],
+                            gammas[k, j : j + 1], gammas[k + 1, j : j + 1], 0,
+                        )[0]
+                    except LiftFailure as ex:
+                        out[i] = ex
+                        keep[j] = False
+                xnew, live = xnew[keep], live[keep]
+                gammas, steps = gammas[:, keep], steps[:, keep]
+            table[k + 1, live] = x = xnew
+        for j, i in enumerate(rows):
+            if out[i] is None:
+                out[i] = NumericLift(
+                    knots=ts,
+                    points=np.ascontiguousarray(table[:, j]),
+                    workmap=wm,
+                    base=paths[i],
+                    newton_tol=self.newton_tol,
+                    newton_iters=self.max_newton_iter,
+                )
+        return out
+
+    def _advance(self, wm, x, step, target) -> tuple[np.ndarray, np.ndarray]:
+        # tangent predictor along the base step, then the corrector onto the
+        # target fiber; a singular step is NaN, which the corrector reports
+        # as a failure, so it halves like one
+        xpred = x + gauss_newton_step(wm.jac(x), step)[0]
+        return newton_project(
+            wm.f, wm.jac, xpred, target, tol=self.newton_tol, max_iter=self.max_newton_iter
         )
 
-    def _track(self, wm, path, x, t0, t1, g0, g1, depth) -> np.ndarray:
-        # g0, g1 are path(t0), path(t1); a singular step is NaN, which
-        # the corrector reports as a failure, so it halves like one
-        J = np.asarray(wm.jac(x), dtype=float)
-        xpred = x + gauss_newton_step(J[None], (g1 - g0)[None])[0][0]
-        xnew, ok = self._newton(wm, xpred, g1)
-        if ok:
-            return xnew
+    def _halve(self, wm, path, x, t0, t1, g0, g1, depth) -> np.ndarray:
+        """Track the 1-row block x over [t0, t1] in two halves, after the
+        corrector failed over the whole of it `depth` halvings deep."""
         if depth >= self.max_halvings:
             raise LiftFailure(t0, f"corrector diverged after {depth} halvings")
         tm = 0.5 * (t0 + t1)
-        gm = path.at(tm)
-        xm = self._track(wm, path, x, t0, tm, g0, gm, depth + 1)
-        return self._track(wm, path, xm, tm, t1, gm, g1, depth + 1)
-
-    def _newton(self, wm, x, target) -> tuple[np.ndarray, bool]:
-        x = np.array(x, dtype=float)
-        for _ in range(self.max_newton_iter):
-            r = wm.f(x) - target
-            if not np.all(np.isfinite(r)):
-                return x, False
-            if float(np.linalg.norm(r)) <= self.newton_tol:
-                return x, True
-            J = np.asarray(wm.jac(x), dtype=float)
-            dx = gauss_newton_step(J[None], r[None])[0][0]
-            if not np.all(np.isfinite(dx)) or float(np.linalg.norm(dx)) > 1e3:
-                return x, False
-            x = x - dx
-        return x, float(np.linalg.norm(wm.f(x) - target)) <= self.newton_tol
+        gm = path.at(tm)[None]
+        for a, b, ga, gb in ((t0, tm, g0, gm), (tm, t1, gm, g1)):
+            xnew, ok = self._advance(wm, x, gb - ga, gb)
+            x = xnew if ok[0] else self._halve(wm, path, x, a, b, ga, gb, depth + 1)
+        return x
 
 
 @dataclass(frozen=True)
@@ -264,12 +299,37 @@ class TaskingPlanner:
 
     def plan(self, e: np.ndarray, w: np.ndarray) -> tuple[int, PathExpr]:
         """Return (region index, lifted path from e onto the fiber of w)."""
-        e = np.asarray(e, dtype=float)
-        th1, th2 = self.base_pair(e, w)
-        idx = self.base.dispatch(th1, th2)
-        region = self.base.regions[idx - 1]
-        gamma = Scaled(region.build(th1, th2, self.base.delta), self.eta)
-        return idx, self.oracle.lift(self.workmap, e, gamma)
+        (result,) = self.plan_batch([e], [w])
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def plan_batch(self, starts: np.ndarray, goals: np.ndarray) -> list:
+        """Plan every row: (region index, lifted path), or the Uncovered or
+        LiftFailure that refused it.
+
+        Dispatch and the base paths are per query; all lifts go to the
+        oracle in one `lift_batch` call.
+        """
+        results: list = [None] * len(starts)
+        todo, es, gammas = [], [], []
+        for i, (e, w) in enumerate(zip(starts, goals, strict=True)):
+            e = np.asarray(e, dtype=float)
+            th1, th2 = self.base_pair(e, w)
+            try:
+                idx = self.base.dispatch(th1, th2)
+            except Uncovered as ex:
+                results[i] = ex
+                continue
+            region = self.base.regions[idx - 1]
+            todo.append((i, idx))
+            es.append(e)
+            gammas.append(Scaled(region.build(th1, th2, self.base.delta), self.eta))
+        if todo:
+            lifts = self.oracle.lift_batch(self.workmap, np.array(es), gammas)
+            for (i, idx), lam in zip(todo, lifts):
+                results[i] = lam if isinstance(lam, LiftFailure) else (idx, lam)
+        return results
 
 
 def pullback_planner(
@@ -294,20 +354,24 @@ def pullback_planner(
 def _rr_f(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     a, b = x[..., 0], x[..., 1]
-    return np.stack(
-        [np.cos(a) * np.cos(b), np.cos(a) * np.sin(b), np.sin(a)], axis=-1
-    )
+    ca = np.cos(a)
+    out = np.empty(x.shape[:-1] + (3,), dtype=float)
+    out[..., 0] = ca * np.cos(b)
+    out[..., 1] = ca * np.sin(b)
+    out[..., 2] = np.sin(a)
+    return out
 
 
 def _rr_jac(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     a, b = x[..., 0], x[..., 1]
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
     J = np.empty(x.shape[:-1] + (3, 2), dtype=float)
-    J[..., 0, 0] = -np.sin(a) * np.cos(b)
-    J[..., 0, 1] = -np.cos(a) * np.sin(b)
-    J[..., 1, 0] = -np.sin(a) * np.sin(b)
-    J[..., 1, 1] = np.cos(a) * np.cos(b)
-    J[..., 2, 0] = np.cos(a)
+    J[..., 0, 0] = -sa * cb
+    J[..., 0, 1] = -ca * sb
+    J[..., 1, 0] = -sa * sb
+    J[..., 1, 1] = ca * cb
+    J[..., 2, 0] = ca
     J[..., 2, 1] = 0.0
     return J
 

@@ -137,6 +137,13 @@ def gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndar
     return dx, ok
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1) for a real (k, m) block: the same arithmetic
+    without the argument handling, which dominates on the small blocks of
+    `newton_project`."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
 def newton_project(
     f: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray],
@@ -147,32 +154,45 @@ def newton_project(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched Gauss-Newton projection onto {f(x) = target}.
 
-    Each iteration takes `gauss_newton_step`. Rows whose normal matrix
-    degenerates or whose iterates blow up are reported as not
-    converged; survivors satisfy ||f(x) - target|| <= tol.
+    f maps a (k, n) block of rows to (k, p) values and jac to (k, p, n)
+    Jacobians. Each iteration takes `gauss_newton_step`. Rows whose
+    normal matrix degenerates or whose iterates blow up are reported as
+    not converged; survivors satisfy ||f(x) - target|| <= tol.
     """
     xs = np.array(x0s, dtype=float)
-    targets = np.asarray(targets, dtype=float)
     ok = np.zeros(xs.shape[0], dtype=bool)
-    live = np.arange(xs.shape[0])
+    # x holds the live rows and t their targets. Until the first row leaves,
+    # x is xs itself, stepped whole with no index arrays; from then on, live
+    # maps the rows of x back to rows of xs.
+    x, t, live = xs, np.asarray(targets, dtype=float), None
     # max_iter steps, each after a residual check; one last check follows
     for it in range(max_iter + 1):
-        if live.size == 0:
+        if x.shape[0] == 0:
             break
-        r = np.atleast_2d(f(xs[live])) - targets[live]
-        done = np.linalg.norm(r, axis=1) <= tol
-        ok[live[done]] = True
-        live, r = live[~done], r[~done]
-        if it == max_iter or live.size == 0:
+        r = f(x) - t
+        done = _row_norms(r) <= tol
+        n_done = np.count_nonzero(done)
+        if n_done == x.shape[0]:
+            ok[slice(None) if live is None else live] = True
             break
-        dx, good = gauss_newton_step(jac(xs[live]), r)
-        xs[live] -= dx
-        # degenerate normal matrix (a NaN step) or blow-up: give up on the row
-        wild = ~good | ~np.all(np.isfinite(xs[live]), axis=1) | (
-            np.linalg.norm(dx, axis=1) > NEWTON_BLOWUP
-        )
-        xs[live[wild]] = np.nan
-        live = live[~wild]
+        if n_done:
+            live = np.arange(xs.shape[0]) if live is None else live
+            ok[live[done]] = True
+            xs[live[done]] = x[done]
+            x, t, r, live = x[~done], t[~done], r[~done], live[~done]
+        if it == max_iter:
+            break
+        dx, _ = gauss_newton_step(jac(x), r)
+        x -= dx
+        # a degenerate normal matrix gives a NaN step, so a non-finite row
+        # covers it; that or a blow-up gives up on the row
+        wild = ~np.isfinite(x).all(axis=1) | (_row_norms(dx) > NEWTON_BLOWUP)
+        if np.count_nonzero(wild):
+            live = np.arange(xs.shape[0]) if live is None else live
+            xs[live[wild]] = np.nan
+            x, t, live = x[~wild], t[~wild], live[~wild]
+    if live is not None:
+        xs[live] = x
     return xs, ok
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AmbiguousAssignment, TooFewPoints
+from .errors import AmbiguousAssignment, GermFileError, TooFewPoints
 from .fibration import NAMED_WORKMAPS, WORKMAP_PARSERS, WorkMap
 from .geometry import CircleActionLift, NODE_PARSERS, newton_project, normalize, path_from_dict
 
@@ -191,8 +191,14 @@ class Germ:
 
 
 def load_germ(path) -> Germ:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Germ.from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as ex:
+        raise GermFileError(f"cannot read germ file {str(path)!r}: {ex.strerror}") from ex
+    except ValueError as ex:  # bad JSON or bad UTF-8
+        raise GermFileError(f"germ file {str(path)!r} is not valid JSON: {ex}") from ex
+    return Germ.from_dict(doc)
 
 
 def save_germ(germ: Germ, path) -> None:
@@ -615,33 +621,22 @@ def regularity_probe(germ: Germ, n_samples: int = 2000, seed: int = 0) -> Regula
 def _hopf_f(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     x1, x2, x3, x4 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    return np.stack(
-        [
-            2.0 * (x1 * x3 + x2 * x4),
-            2.0 * (x2 * x3 - x1 * x4),
-            x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4,
-        ],
-        axis=-1,
-    )
+    out = np.empty(x.shape[:-1] + (3,), dtype=float)
+    out[..., 0] = 2.0 * (x1 * x3 + x2 * x4)
+    out[..., 1] = 2.0 * (x2 * x3 - x1 * x4)
+    out[..., 2] = x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4
+    return out
+
+
+# Every entry of the Hopf Jacobian is +-2 x_j: row i, column c holds
+# _HOPF_SIGN[i, c] * 2 x[_HOPF_COLS[i, c]].
+_HOPF_COLS = np.array([[2, 3, 0, 1], [3, 2, 1, 0], [0, 1, 2, 3]])
+_HOPF_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
 
 
 def _hopf_jac(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    x1, x2, x3, x4 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    J = np.empty(x.shape[:-1] + (3, 4), dtype=float)
-    J[..., 0, 0] = 2.0 * x3
-    J[..., 0, 1] = 2.0 * x4
-    J[..., 0, 2] = 2.0 * x1
-    J[..., 0, 3] = 2.0 * x2
-    J[..., 1, 0] = -2.0 * x4
-    J[..., 1, 1] = 2.0 * x3
-    J[..., 1, 2] = 2.0 * x2
-    J[..., 1, 3] = -2.0 * x1
-    J[..., 2, 0] = 2.0 * x1
-    J[..., 2, 1] = 2.0 * x2
-    J[..., 2, 2] = -2.0 * x3
-    J[..., 2, 3] = -2.0 * x4
-    return J
+    return (2.0 * x)[..., _HOPF_COLS] * _HOPF_SIGN
 
 
 HOPF_ETA = 0.01  # tube = the 3-sphere of radius 0.1, since ||f(x)|| = ||x||^2

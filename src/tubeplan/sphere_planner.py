@@ -163,6 +163,16 @@ class SpherePlanner:
         region = self.regions[idx - 1]
         return idx, region.build(t1, t2, self.delta)
 
+    def plan_batch(self, starts: np.ndarray, goals: np.ndarray) -> list:
+        """Plan every row: (region index, path), or the Uncovered that refused it."""
+        results: list = []
+        for t1, t2 in zip(starts, goals, strict=True):
+            try:
+                results.append(self.plan(t1, t2))
+            except Uncovered as ex:
+                results.append(ex)
+        return results
+
 
 def build_planner(m: int, delta: float = DEFAULT_MARGIN) -> SpherePlanner:
     """Planner on S^m: two regions for odd m, three for even m."""

@@ -269,6 +269,18 @@ def _tasking_queries(planner: TaskingPlanner, rng, k: int):
     return starts, goals
 
 
+# Queries planned per `plan_batch` call; it bounds how many planned paths
+# the suite holds at once.
+SUITE_BLOCK = 256
+
+
+def _planned(planner, starts: np.ndarray, goals: np.ndarray):
+    """(query index, plan_batch result) for every query, block by block."""
+    for b0 in range(0, starts.shape[0], SUITE_BLOCK):
+        block = planner.plan_batch(starts[b0 : b0 + SUITE_BLOCK], goals[b0 : b0 + SUITE_BLOCK])
+        yield from enumerate(block, b0)
+
+
 def run_contract_suite(
     planner,
     n_queries: int,
@@ -312,19 +324,18 @@ def run_contract_suite(
     max_surface = 0.0
     any_deep = False
 
-    for i in range(n_queries):
+    for i, planned in _planned(planner, starts, goals):
         a, b = starts[i], goals[i]
-        try:
-            idx, path = planner.plan(a, b)
-        except Uncovered as ex:
+        if isinstance(planned, Uncovered):
             report.coverage_failures += 1
-            report.failures.append({"index": i, "kind": "uncovered", "detail": str(ex)})
+            report.failures.append({"index": i, "kind": "uncovered", "detail": str(planned)})
             continue
-        except LiftFailure as ex:
+        if isinstance(planned, LiftFailure):
             report.lift_failures.append(
-                {"index": i, "t_star": ex.t_star, "message": str(ex)}
+                {"index": i, "t_star": planned.t_star, "message": str(planned)}
             )
             continue
+        idx, path = planned
 
         # independent minimal-index scan over the base regions
         if is_sphere:
@@ -405,6 +416,14 @@ def _perturb_on_sphere(rng, t: np.ndarray, scale: float) -> np.ndarray:
     return normalize(t + xi)
 
 
+def _lifted(lifts: list) -> list:
+    """The lifts of a `lift_batch` call; the first LiftFailure among them is raised."""
+    for lam in lifts:
+        if isinstance(lam, LiftFailure):
+            raise lam
+    return lifts
+
+
 def continuity_probe(
     planner, region_index: int, n_pairs: int = 64, seed: int = 0
 ) -> list[dict]:
@@ -444,25 +463,34 @@ def continuity_probe(
                 continue
             queries.append((e, w, rng.integers(1 << 31)))
 
+    if not is_sphere:
+        # the unperturbed lifts do not depend on the scale: lift them once
+        wm = planner.workmap
+        starts = np.array([e for e, _, _ in queries])
+        pairs = [planner.base_pair(e, w) for e, w, _ in queries]
+        gammas = [Scaled(region.build(th1, th2, base.delta), planner.eta) for th1, th2 in pairs]
+        ref = [lam.sample(ts) for lam in _lifted(planner.oracle.lift_batch(wm, starts, gammas))]
+
     rows = []
     for scale in PROBE_SCALES:
         devs = np.empty(len(queries))
-        for qi, (a, b, sub) in enumerate(queries):
-            sub_rng = np.random.default_rng(sub)
-            if is_sphere:
+        if is_sphere:
+            for qi, (a, b, sub) in enumerate(queries):
+                sub_rng = np.random.default_rng(sub)
                 a2 = _perturb_on_sphere(sub_rng, a, scale)
                 b2 = _perturb_on_sphere(sub_rng, b, scale)
                 p1 = region.build(a, b, base.delta)
                 p2 = region.build(a2, b2, base.delta)
-            else:
-                # perturb the goal only; the start is pinned to a fiber
-                th1, th2 = planner.base_pair(a, b)
-                th2b = _perturb_on_sphere(sub_rng, th2, scale)
-                gamma1 = Scaled(region.build(th1, th2, base.delta), planner.eta)
-                gamma2 = Scaled(region.build(th1, th2b, base.delta), planner.eta)
-                p1 = planner.oracle.lift(planner.workmap, a, gamma1)
-                p2 = planner.oracle.lift(planner.workmap, a, gamma2)
-            devs[qi] = float(np.linalg.norm(p1.sample(ts) - p2.sample(ts), axis=1).max())
+                devs[qi] = float(np.linalg.norm(p1.sample(ts) - p2.sample(ts), axis=1).max())
+        else:
+            # perturb the goal only; the start is pinned to a fiber
+            gammas = []
+            for (th1, th2), (_, _, sub) in zip(pairs, queries):
+                th2b = _perturb_on_sphere(np.random.default_rng(sub), th2, scale)
+                gammas.append(Scaled(region.build(th1, th2b, base.delta), planner.eta))
+            lifts = _lifted(planner.oracle.lift_batch(wm, starts, gammas))
+            for qi, lam in enumerate(lifts):
+                devs[qi] = float(np.linalg.norm(ref[qi] - lam.sample(ts), axis=1).max())
         rows.append(
             {
                 "scale": scale,

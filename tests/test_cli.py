@@ -236,13 +236,35 @@ def test_certify_hopf_sec_is_usage_error(capsys):
     [
         ["plan-sphere", "--dim", "1", "--start", "1,0", "--goal", "0,1", "--seed", "3"],
         ["fiber", "--germ", "germs/cube.json", "--margin", "0.05"],
+        ["certify", "--hopf", "--seed", "3"],
+        ["certify", "--germ", "germs/cube.json", "--quantity", "tc", "--seeds", "600"],
     ],
-    ids=["plan-sphere-seed", "fiber-margin"],
+    ids=["plan-sphere-seed", "fiber-margin", "certify-hopf-seed", "certify-tc-seeds"],
 )
 def test_flag_the_command_never_reads_is_rejected(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["plan-sphere", "--dim", "3", "--start", "0,0,0,1", "--goal", "0,1,0,0",
+          "--margin", "0.2"], "bad_margin"),
+        (["verify", "--sphere", "2", "--margin", "0.15"], "bad_margin"),
+        (["fiber", "--germ", "{missing}"], "bad_germ_file"),
+        (["fiber", "--germ", "{not_json}"], "bad_germ_file"),
+    ],
+    ids=["plan-sphere-margin", "verify-margin", "missing-germ", "germ-not-json"],
+)
+def test_bad_input_is_a_one_line_error(capsys, tmp_path, argv, kind):
+    files = {"missing": tmp_path / "missing.json", "not_json": tmp_path / "bad.json"}
+    files["not_json"].write_text("{not json")
+    code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["kind"] == kind
 
 
 def test_link_command(capsys, brieskorn_file):

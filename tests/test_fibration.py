@@ -5,6 +5,7 @@ the start by exp(i * phi / 2) lifts a value rotation of phi.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -240,6 +241,99 @@ def test_numeric_lift_refinement_failure_raises():
     with pytest.raises(LiftFailure) as err:
         lam.sample(np.array([0.0, 0.25, 0.5]))
     assert err.value.t_star == 0.25
+
+
+# --- batched numeric lifting -------------------------------------------------------
+
+
+def _far_goals(rng, k):
+    goals = []
+    while len(goals) < k:
+        g = random_unit(rng, 3)
+        if min(np.linalg.norm(g - [0, 0, 1]), np.linalg.norm(g + [0, 0, 1])) >= 0.2:
+            goals.append(g)
+    return np.array(goals)
+
+
+def _assert_same_as_solo(planner, starts, goals, results):
+    """Every row of a batch equals planning its query alone, bit for bit."""
+    for e, w, got in zip(starts, goals, results):
+        try:
+            idx, lam = planner.plan(e, w)
+        except LiftFailure as ex:
+            assert isinstance(got, LiftFailure)
+            assert (got.t_star, str(got)) == (ex.t_star, str(ex))
+            continue
+        assert not isinstance(got, LiftFailure), f"batch row failed: {got}"
+        assert got[0] == idx
+        assert np.array_equal(got[1].knots, lam.knots)
+        assert np.array_equal(got[1].points, lam.points)
+
+
+@pytest.mark.parametrize("name", ["arm", "hopf"])
+def test_plan_batch_equals_plan_per_query(name):
+    rng = np.random.default_rng(17)
+    wm = rr_arm_workmap() if name == "arm" else hopf_germ()
+    planner = pullback_planner(wm)
+    starts = wm.sample(rng, 5)
+    if name == "arm":
+        goals = _far_goals(rng, 5)
+        goals[2] = [0.0, 1e-4, 1.0] / np.linalg.norm([0.0, 1e-4, 1.0])  # near the pole
+    else:
+        goals = wm.eta * np.array([random_unit(rng, 3) for _ in range(5)])
+    results = planner.plan_batch(starts, goals)
+    _assert_same_as_solo(planner, starts, goals, results)
+    failed = [i for i, r in enumerate(results) if isinstance(r, LiftFailure)]
+    assert failed == ([2] if name == "arm" else [])
+    if name == "arm":
+        assert results[2].t_star == 1.0
+
+
+class _NoHalving(NumericOracle):
+    max_halvings = 0
+
+
+# Three arm queries: the first crosses azimuths 0.1-0.13, the other two stay clear.
+_ARM_STARTS = np.array([[0.2, -0.1], [0.2, -0.3], [-0.3, 0.5]])
+_ARM_GOAL_ANGLES = np.array([[0.3, 0.4], [0.4, -0.05], [-0.1, 0.7]])
+
+
+def test_lift_batch_halves_a_row_and_keeps_it_in_the_batch():
+    # A Jacobian scaled by 0.65 makes the corrector overshoot, so steps
+    # only converge once halved. Scaled everywhere, one arm plan takes
+    # thousands of halvings; inside a thin azimuth band it takes about 80.
+    wm = rr_arm_workmap()
+
+    def jac(x):
+        x = np.asarray(x, dtype=float)
+        band = (x[..., 1] > 0.1) & (x[..., 1] < 0.13)
+        return np.where(band, 0.65, 1.0)[..., None, None] * wm.jac(x)
+
+    weak = dataclasses.replace(wm, jac=jac)
+    goals = wm.f(_ARM_GOAL_ANGLES)
+    results = pullback_planner(weak).plan_batch(_ARM_STARTS, goals)
+    assert not any(isinstance(r, LiftFailure) for r in results)
+    _assert_same_as_solo(pullback_planner(weak), _ARM_STARTS, goals, results)
+    unhalved = pullback_planner(weak, oracle=_NoHalving()).plan_batch(_ARM_STARTS, goals)
+    assert [isinstance(r, LiftFailure) for r in unhalved] == [True, False, False]
+
+
+def test_lift_batch_failing_row_leaves_the_others_alone():
+    # f is NaN beyond azimuth 0.4, which only the middle row must cross
+    wm = rr_arm_workmap()
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x[..., 1] > 0.4)[..., None], np.nan, wm.f(x))
+
+    planner = pullback_planner(dataclasses.replace(wm, f=f))
+    starts = np.array([[0.2, -0.1], [0.3, 0.0], [0.2, -0.3]])
+    goals = np.array([wm.f(np.array([0.5, 0.3])), [0.6, 0.8, 0.0], wm.f(np.array([0.4, -0.05]))])
+    results = planner.plan_batch(starts, goals)
+    assert [isinstance(r, LiftFailure) for r in results] == [False, True, False]
+    assert str(results[1]) == "corrector diverged after 12 halvings"
+    assert 0.5 < results[1].t_star < 0.52
+    _assert_same_as_solo(planner, starts, goals, results)
 
 
 # --- planner structure ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -159,6 +160,19 @@ def test_suite_records_lift_failures():
     assert not report.passed
     for entry in report.lift_failures:
         assert 0.0 <= entry["t_star"] <= 1.0
+
+
+def test_suite_lifts_numeric_queries_in_blocks():
+    wm = rr_arm_workmap()
+    shapes = []
+
+    def jac(x):
+        shapes.append(np.shape(x))
+        return wm.jac(x)
+
+    planner = pullback_planner(dataclasses.replace(wm, jac=jac))
+    run_contract_suite(planner, 20, seed=3)
+    assert any(len(s) == 2 and s[0] > 1 for s in shapes), "every Jacobian call took one row"
 
 
 def test_report_json_round_trip():
