@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Write the stdout, stderr and exit code of a fixed list of CLI commands.
+
+    python3 scripts/cli_snapshot.py OUTDIR
+
+Each command runs in-process through `tubeplan.cli.main`, from the root
+of the checkout that holds this script and against its `src/`. OUTDIR gets
+one NN-name.out, NN-name.err and NN-name.code file per command, so two
+checkouts compare byte for byte with `diff -r OUTDIR1 OUTDIR2`.
+"""
+
+import contextlib
+import io
+import os
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from tubeplan import cli, load_germ, tube_fibration  # noqa: E402
+
+B23 = "germs/brieskorn_2_3.json"
+CUBE = "germs/cube.json"
+
+
+def _tube_start() -> str:
+    """The README's plan-tube start: one tube point of z^2+w^3, seed 0."""
+    wm = tube_fibration(load_germ(B23))
+    return ",".join(repr(float(v)) for v in wm.sample(np.random.default_rng(0), 1)[0])
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    arm_goal = ["--start", "0.3,0.4", "--goal", "0.6,0.0,0.8"]
+    return [
+        ("plan-sphere-poles", ["plan-sphere", "--dim", "2", "--start", "0,0,1",
+                               "--goal=0,0,-1", "--samples", "9"]),
+        ("plan-sphere-s3-csv", ["plan-sphere", "--dim", "3", "--start", "1,0,0,0",
+                                "--goal", "0,0,0,1", "--format", "csv"]),
+        ("plan-sphere-bad-goal", ["plan-sphere", "--dim", "2", "--start", "0,0,1",
+                                  "--goal", "0,1,x"]),
+        ("plan-tube", ["plan-tube", "--germ", B23, f"--start={_tube_start()}",
+                       "--angle", "1.5708"]),
+        ("plan-arm", ["plan-arm", *arm_goal]),
+        ("plan-arm-refused", ["plan-arm", "--start", "0.3,0.4",
+                              "--goal", "0.0003,0.0004,0.9999999"]),
+        ("plan-arm-csv", ["plan-arm", *arm_goal, "--format", "csv"]),
+        ("verify-sphere-probe", ["verify", "--sphere", "2", "--probe-region", "1"]),
+        ("verify-circle-deep", ["verify", "--sphere", "1", "--queries", "3000", "--seed", "5",
+                                "--deep", "40", "--probe-region", "2"]),
+        ("verify-germ", ["verify", "--germ", B23, "--queries", "200"]),
+        ("verify-germ-probe", ["verify", "--germ", B23, "--queries", "30",
+                               "--probe-region", "1"]),
+        ("verify-hopf", ["verify", "--hopf", "--queries", "60", "--deep", "10"]),
+        ("verify-hopf-probe", ["verify", "--hopf", "--queries", "30", "--probe-region", "2",
+                               "--seed", "4"]),
+        ("verify-arm-probe", ["verify", "--rr-arm", "--queries", "60", "--probe-region", "1"]),
+        ("fiber-cube", ["fiber", "--germ", CUBE]),
+        ("fiber-two-factor", ["fiber", "--germ", "germs/two_factor.json", "--angle", "0.7",
+                              "--seed", "3"]),
+        ("monodromy", ["monodromy", "--germ", CUBE]),
+        ("certify-sec", ["certify", "--germ", B23, "--quantity", "sec"]),
+        ("certify-sec-cube", ["certify", "--germ", CUBE, "--quantity", "sec", "--seed", "3",
+                              "--seeds", "700"]),
+        ("certify-tc", ["certify", "--germ", B23, "--quantity", "tc"]),
+        ("certify-hopf", ["certify", "--hopf"]),
+        ("link", ["link", "--germ", B23]),
+        ("bad-margin", ["plan-sphere", "--dim", "3", "--start", "0,0,0,1", "--goal", "0,1,0,0",
+                        "--margin", "0.2"]),
+        ("missing-germ", ["fiber", "--germ", "germs/missing.json"]),
+    ]
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as ex:  # argparse errors
+            code = ex.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = pathlib.Path(sys.argv[1]).resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(ROOT)  # germ paths, and the error messages naming them, are relative
+    for n, (name, argv) in enumerate(commands(), 1):
+        code, out, err = run(argv)
+        stem = outdir / f"{n:02d}-{name}"
+        stem.with_suffix(".out").write_text(out)
+        stem.with_suffix(".err").write_text(err)
+        stem.with_suffix(".code").write_text(f"{code}\n")
+        print(f"{n:02d} {name}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

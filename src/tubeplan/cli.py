@@ -60,9 +60,12 @@ FAILURES = {
 
 def _parse_vec(parser: argparse.ArgumentParser, text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",")], dtype=float)
+        v = np.array([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError:
         parser.error(f"cannot parse {what} {text!r} as comma-separated floats")
+    if not np.isfinite(v).all():
+        parser.error(f"{what} {text!r} holds a value that is not finite")
+    return v
 
 
 def _unit_vec(parser: argparse.ArgumentParser, text: str, dim: int, what: str) -> np.ndarray:
@@ -126,7 +129,7 @@ def cmd_plan_tube(parser, args) -> int:
     wm = tube_fibration(germ)
     planner = pullback_planner(wm, delta=args.margin)
     goal = germ.eta * np.array([math.cos(args.angle), math.sin(args.angle)])
-    idx, path = planner.plan(start.x, goal)
+    idx, path = planner.plan(start, goal)
     residual = float(np.linalg.norm(wm.f(path.at(1.0)) - goal))
     _emit_path(
         args,
@@ -183,7 +186,7 @@ def cmd_verify(parser, args) -> int:
     report = run_contract_suite(
         planner, args.queries, seed=args.seed, knots=args.knots, deep=args.deep
     )
-    out = report.to_dict(include_timing=False)
+    out = report.to_dict()
     if args.probe_region:
         out["continuity"] = continuity_probe(planner, args.probe_region, seed=args.seed)
     _emit(args, out)

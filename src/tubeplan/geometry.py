@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +32,10 @@ POLE_MARGIN = 1e-9    # stereographic chart domain guard: last coord < 1 - this
 JUNCTION_TOL = 1e-9   # concatenation continuity at the midpoint
 DOMAIN_TOL = 1e-12    # slack outside [0, 1] before DomainError
 NEWTON_BLOWUP = 1e6   # a Gauss-Newton step longer than this abandons its row
+# Newton corrector of numeric lifts: the tracker's per-knot corrector and the
+# polish of a NumericLift between its knots
+LIFT_NEWTON_TOL = 1e-10
+LIFT_NEWTON_ITERS = 25
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -197,7 +201,7 @@ def newton_project(
 
 
 class PathExpr:
-    """A path [0, 1] -> R^k. Subclasses implement _eval / _eval_batch."""
+    """A path [0, 1] -> R^k. Subclasses implement _eval, _eval_batch and to_dict."""
 
     dim: int
 
@@ -213,14 +217,6 @@ class PathExpr:
             raise DomainError("sample grid leaves [0, 1]")
         return self._eval_batch(np.clip(ts, 0.0, 1.0))
 
-    def _eval(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
-        return np.stack([self._eval(float(t)) for t in ts])
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -465,8 +461,6 @@ class NumericLift(PathExpr):
     points: np.ndarray                # (k, n)
     workmap: Optional[object] = None  # needs .f / .jac accepting batches
     base: Optional[PathExpr] = None
-    newton_tol: float = 1e-10
-    newton_iters: int = 8
 
     def __post_init__(self):
         object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
@@ -496,8 +490,8 @@ class NumericLift(PathExpr):
             self.workmap.jac,
             out[need],
             self.base.sample(ts[need]),
-            tol=self.newton_tol,
-            max_iter=self.newton_iters,
+            tol=LIFT_NEWTON_TOL,
+            max_iter=LIFT_NEWTON_ITERS,
         )
         if not np.all(ok):
             t = float(ts[need[~ok][0]])
@@ -513,8 +507,8 @@ class NumericLift(PathExpr):
             "kind": "numeric_lift",
             "knots": self.knots.tolist(),
             "points": self.points.tolist(),
-            "newton_tol": float(self.newton_tol),
-            "newton_iters": int(self.newton_iters),
+            "newton_tol": LIFT_NEWTON_TOL,
+            "newton_iters": LIFT_NEWTON_ITERS,
             "workmap": wm,
             "base": None if self.base is None else self.base.to_dict(),
         }
@@ -522,13 +516,10 @@ class NumericLift(PathExpr):
 
 # --- serialization ---------------------------------------------------------
 
-# Deserializers for node kinds that depend on germs/work maps register
-# themselves here from the modules that own those objects.
-NODE_PARSERS: dict[str, Callable[[dict], PathExpr]] = {}
 
-
-def _parse_basic(d: dict) -> PathExpr:
-    kind = d["kind"]
+def path_from_dict(d: dict) -> PathExpr:
+    """Rebuild a path from its `to_dict` form; an unknown kind raises ValueError."""
+    kind = d.get("kind")
     if kind == "constant":
         return Constant(np.asarray(d["point"]))
     if kind == "normalized_segment":
@@ -539,14 +530,11 @@ def _parse_basic(d: dict) -> PathExpr:
         return Concat(path_from_dict(d["left"]), path_from_dict(d["right"]))
     if kind == "scaled":
         return Scaled(path_from_dict(d["path"]), float(d["factor"]))
+    if kind in ("circle_action_lift", "numeric_lift"):
+        from .milnor import lift_from_dict  # these carry germs and work maps
+
+        return lift_from_dict(d)
     raise ValueError(f"unknown path node kind {kind!r}")
-
-
-def path_from_dict(d: dict) -> PathExpr:
-    kind = d.get("kind")
-    if kind in NODE_PARSERS:
-        return NODE_PARSERS[kind](d)
-    return _parse_basic(d)
 
 
 def path_to_json(path: PathExpr) -> str:

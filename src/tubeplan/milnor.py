@@ -22,13 +22,20 @@ from typing import Optional
 import numpy as np
 
 from .errors import AmbiguousAssignment, GermFileError, TooFewPoints
-from .fibration import NAMED_WORKMAPS, WORKMAP_PARSERS, WorkMap
-from .geometry import CircleActionLift, NODE_PARSERS, newton_project, normalize, path_from_dict
+from .fibration import WorkMap, rr_arm_workmap
+from .geometry import (
+    CircleActionLift,
+    NumericLift,
+    PathExpr,
+    newton_project,
+    normalize,
+    path_from_dict,
+)
 
 TRI_STATES = ("yes", "no", "unknown")
 
 FIBER_TOL = 1e-9       # accepted samples satisfy ||f(x) - target|| below this
-TUBE_TOL = 1e-9        # TubePoint invariant on | ||f|| - eta | and ball excess
+TUBE_TOL = 1e-9        # slack on the ball radius for tube and fiber points
 # Choice: floor under the adaptive proximity radius; zero-dimensional fibers
 # collapse each root to a cluster of Newton duplicates whose spacing is pure
 # roundoff, and 3x the median neighbor gap alone would underrate it.
@@ -198,7 +205,10 @@ def load_germ(path) -> Germ:
         raise GermFileError(f"cannot read germ file {str(path)!r}: {ex.strerror}") from ex
     except ValueError as ex:  # bad JSON or bad UTF-8
         raise GermFileError(f"germ file {str(path)!r} is not valid JSON: {ex}") from ex
-    return Germ.from_dict(doc)
+    try:
+        return Germ.from_dict(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as ex:
+        raise GermFileError(f"germ file {str(path)!r} is not a valid germ: {ex!r}") from ex
 
 
 def save_germ(germ: Germ, path) -> None:
@@ -210,7 +220,7 @@ def save_germ(germ: Germ, path) -> None:
 # --- standard examples -------------------------------------------------------
 
 
-def power_germ(d: int, epsilon: float = 0.5, eta: Optional[float] = None) -> Germ:
+def power_germ(d: int) -> Germ:
     """z^d: the zero set is one point, so the link is empty; the fiber is
     d isolated points, connected only for d = 1."""
     return Germ(
@@ -219,13 +229,11 @@ def power_germ(d: int, epsilon: float = 0.5, eta: Optional[float] = None) -> Ger
         monomials=((1.0 + 0.0j, (d,)),),
         weights=(1,),
         degree=d,
-        epsilon=epsilon,
-        eta=eta,
         flags=GermFlags(link_nonempty="no", pi_trivial="yes" if d == 1 else "no"),
     )
 
 
-def brieskorn_germ(a: int, b: int, epsilon: float = 0.5, eta: Optional[float] = None) -> Germ:
+def brieskorn_germ(a: int, b: int) -> Germ:
     """z^a + w^b with the canonical weights; isolated singularity at 0,
     torus-knot link, connected fiber."""
     d = math.lcm(a, b)
@@ -235,13 +243,11 @@ def brieskorn_germ(a: int, b: int, epsilon: float = 0.5, eta: Optional[float] = 
         monomials=((1.0 + 0.0j, (a, 0)), (1.0 + 0.0j, (0, b))),
         weights=(d // a, d // b),
         degree=d,
-        epsilon=epsilon,
-        eta=eta,
         flags=GermFlags(link_nonempty="yes", pi_trivial="yes"),
     )
 
 
-def product_germ(epsilon: float = 0.5, eta: Optional[float] = None) -> Germ:
+def product_germ() -> Germ:
     """z*w: normal crossing; the zero set is two lines, the fiber an annulus."""
     return Germ(
         name="z*w",
@@ -249,8 +255,6 @@ def product_germ(epsilon: float = 0.5, eta: Optional[float] = None) -> Germ:
         monomials=((1.0 + 0.0j, (1, 1)),),
         weights=(1, 1),
         degree=2,
-        epsilon=epsilon,
-        eta=eta,
         flags=GermFlags(link_nonempty="yes", pi_trivial="yes"),
     )
 
@@ -309,27 +313,10 @@ def tube_fibration(germ: Germ) -> WorkMap:
     )
 
 
-@dataclass(frozen=True)
-class TubePoint:
-    """A configuration on the tube together with its cached value."""
-
-    x: np.ndarray
-    value: np.ndarray
-
-
-def tube_point(germ: Germ, x: np.ndarray) -> TubePoint:
-    x = np.asarray(x, dtype=float)
-    v = germ.f_real(x)
-    if abs(float(np.linalg.norm(v)) - germ.eta) > TUBE_TOL:
-        raise ValueError("point does not sit on the tube")
-    if float(np.linalg.norm(x)) > germ.epsilon + TUBE_TOL:
-        raise ValueError("point leaves the ball")
-    return TubePoint(x=x, value=v)
-
-
-def polish_to_tube(germ: Germ, x: np.ndarray, tol: float = 1e-6) -> TubePoint:
+def polish_to_tube(germ: Germ, x: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Newton-project a nearly-on-tube configuration onto the exact fiber
-    through its current angle. Accepts starts within tol of the tube."""
+    through its current angle. Accepts starts within tol of the tube and
+    returns the polished configuration, inside the ball."""
     x = np.asarray(x, dtype=float)
     v = germ.f_real(x)
     nv = float(np.linalg.norm(v))
@@ -339,7 +326,9 @@ def polish_to_tube(germ: Germ, x: np.ndarray, tol: float = 1e-6) -> TubePoint:
     xs, ok = newton_project(germ.f_real, germ.jac_real, x[None, :], target[None, :], tol=1e-14)
     if not ok[0]:
         raise ValueError("could not polish the start onto the tube")
-    return tube_point(germ, xs[0])
+    if float(np.linalg.norm(xs[0])) > germ.epsilon + TUBE_TOL:
+        raise ValueError("point leaves the ball")
+    return xs[0]
 
 
 def circle_action_lift(germ: Germ, x0: np.ndarray, dphi: float) -> CircleActionLift:
@@ -358,9 +347,7 @@ def circle_action_lift(germ: Germ, x0: np.ndarray, dphi: float) -> CircleActionL
 class FiberSample:
     """Converged Newton projections onto one fiber, split into components."""
 
-    workmap_name: str
     base_point: np.ndarray
-    angle: Optional[float]
     points: np.ndarray
     labels: np.ndarray
     n_components: int
@@ -407,7 +394,6 @@ def sample_workmap_fiber(
     seed: int = 0,
     seed_radius: Optional[float] = None,
     max_norm: Optional[float] = None,
-    angle: Optional[float] = None,
 ) -> FiberSample:
     """Sample the fiber of a work map over one base value.
 
@@ -425,9 +411,7 @@ def sample_workmap_fiber(
     targets = np.broadcast_to(base_point, (n_seeds, wm.p)).copy()
     xs, ok = newton_project(wm.f, wm.jac, seeds, targets, tol=1e-12)
     if np.any(ok):
-        ok[ok] &= np.linalg.norm(
-            np.atleast_2d(wm.f(xs[ok])) - targets[ok], axis=1
-        ) <= FIBER_TOL
+        ok[ok] &= np.linalg.norm(wm.f(xs[ok]) - targets[ok], axis=1) <= FIBER_TOL
     if max_norm is not None:
         ok &= np.linalg.norm(xs, axis=1) <= max_norm + TUBE_TOL
     points = xs[ok]
@@ -437,9 +421,7 @@ def sample_workmap_fiber(
         )
     labels, n_comp, radius = _cluster(points)
     return FiberSample(
-        workmap_name=wm.name,
         base_point=base_point,
-        angle=angle,
         points=points,
         labels=labels,
         n_components=n_comp,
@@ -459,7 +441,6 @@ def sample_fiber(germ: Germ, phi: float = 0.0, n_seeds: int = 1500, seed: int = 
         seed=seed,
         seed_radius=germ.epsilon,
         max_norm=germ.epsilon,
-        angle=float(phi),
     )
 
 
@@ -467,7 +448,6 @@ def sample_fiber(germ: Germ, phi: float = 0.0, n_seeds: int = 1500, seed: int = 
 class LinkSample:
     """Converged samples of the zero set on the epsilon sphere."""
 
-    germ_name: str
     points: np.ndarray
     evidence: str  # "yes" if any point converged, else "no"
     n_seeds: int
@@ -487,13 +467,11 @@ def sample_link(germ: Germ, n_seeds: int = 1000, seed: int = 0) -> LinkSample:
     eps2 = germ.epsilon**2
 
     def f(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
         vals = germ.f_real(x)
         sphere = (np.sum(x * x, axis=1) - eps2)[:, None]
         return np.concatenate([vals, sphere], axis=1)
 
     def jac(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
         Jf = germ.jac_real(x)
         Js = (2.0 * x)[:, None, :]
         return np.concatenate([Jf, Js], axis=1)
@@ -504,7 +482,6 @@ def sample_link(germ: Germ, n_seeds: int = 1000, seed: int = 0) -> LinkSample:
         ok[ok] &= np.linalg.norm(f(xs[ok]), axis=1) <= FIBER_TOL
     points = xs[ok]
     return LinkSample(
-        germ_name=germ.name,
         points=points,
         evidence="yes" if points.shape[0] > 0 else "no",
         n_seeds=n_seeds,
@@ -642,7 +619,7 @@ def _hopf_jac(x: np.ndarray) -> np.ndarray:
 HOPF_ETA = 0.01  # tube = the 3-sphere of radius 0.1, since ||f(x)|| = ||x||^2
 
 
-def hopf_germ(eta: float = HOPF_ETA) -> WorkMap:
+def hopf_germ() -> WorkMap:
     """Quadratic sphere map (z, w) -> (2 z conj(w), |z|^2 - |w|^2).
 
     Target dimension three; the zero set is the origin alone, so the
@@ -654,25 +631,36 @@ def hopf_germ(eta: float = HOPF_ETA) -> WorkMap:
         p=3,
         f=_hopf_f,
         jac=_hopf_jac,
-        eta=eta,
+        eta=HOPF_ETA,
         name="hopf",
-        sampler=lambda rng, k: _sphere_seeds(rng, k, 4, math.sqrt(eta)),
+        sampler=lambda rng, k: _sphere_seeds(rng, k, 4, math.sqrt(HOPF_ETA)),
         flags={"link_nonempty": "no", "pi_trivial": "no"},
     )
 
 
-# --- deserialization hooks -------------------------------------------------------
+# --- deserialization -------------------------------------------------------------
 
 
-def _parse_circle_action_lift(d: dict) -> CircleActionLift:
-    return CircleActionLift(
-        germ=Germ.from_dict(d["germ"]),
-        start=np.asarray(d["start"], dtype=float),
-        dphi=None if d.get("dphi") is None else float(d["dphi"]),
-        base=path_from_dict(d["base"]) if d.get("base") else None,
+def lift_from_dict(d: dict) -> PathExpr:
+    """The lift nodes of `geometry.path_from_dict`, which carry germs and work maps."""
+    base = path_from_dict(d["base"]) if d.get("base") else None
+    if d["kind"] == "circle_action_lift":
+        return CircleActionLift(
+            germ=Germ.from_dict(d["germ"]),
+            start=np.asarray(d["start"], dtype=float),
+            dphi=None if d.get("dphi") is None else float(d["dphi"]),
+            base=base,
+        )
+    w = d.get("workmap") or {}
+    if w.get("kind") == "germ":
+        wm = tube_fibration(Germ.from_dict(w["germ"]))
+    elif w.get("kind") == "named":
+        wm = {"rr_arm": rr_arm_workmap, "hopf": hopf_germ}[w["name"]]()
+    else:
+        wm = None
+    return NumericLift(
+        knots=np.asarray(d["knots"], dtype=float),
+        points=np.asarray(d["points"], dtype=float),
+        workmap=wm,
+        base=base,
     )
-
-
-NODE_PARSERS["circle_action_lift"] = _parse_circle_action_lift
-WORKMAP_PARSERS["germ"] = lambda d: tube_fibration(Germ.from_dict(d["germ"]))
-NAMED_WORKMAPS["hopf"] = hopf_germ

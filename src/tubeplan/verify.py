@@ -11,8 +11,7 @@ that must agree with the certificate.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import LiftFailure, Uncovered, WrongCodomain
 from .fibration import TaskingPlanner, WorkMap
 from .geometry import NORM_TOL, Scaled, normalize
-from .milnor import Germ
+from .milnor import Germ, tube_fibration
 from .sphere_planner import SpherePlanner
 
 # --- certificates -----------------------------------------------------------
@@ -48,29 +47,20 @@ class CertifyInputs:
         }
 
 
-def _as_inputs(source, **overrides) -> CertifyInputs:
+def _as_inputs(source) -> CertifyInputs:
     if isinstance(source, CertifyInputs):
-        base = source.__dict__ | overrides
-        return CertifyInputs(**base)
+        return source
     if isinstance(source, Germ):
-        d = {
-            "p": 2,
-            "link_nonempty": source.flags.link_nonempty,
-            "pi_trivial": source.flags.pi_trivial,
-            "name": source.name,
-        }
-    elif isinstance(source, WorkMap):
-        flags = source.flags or {}
-        d = {
-            "p": source.p,
-            "link_nonempty": flags.get("link_nonempty", "unknown"),
-            "pi_trivial": flags.get("pi_trivial", "unknown"),
-            "name": source.name,
-        }
-    else:
+        source = tube_fibration(source)  # the same name, p = 2 and flags
+    if not isinstance(source, WorkMap):
         raise TypeError(f"cannot certify a {type(source).__name__}")
-    d.update(overrides)
-    return CertifyInputs(**d)
+    flags = source.flags or {}
+    return CertifyInputs(
+        p=source.p,
+        link_nonempty=flags.get("link_nonempty", "unknown"),
+        pi_trivial=flags.get("pi_trivial", "unknown"),
+        name=source.name,
+    )
 
 
 @dataclass(frozen=True)
@@ -104,7 +94,7 @@ class Certificate:
         }
 
 
-def certify_tc(source, **overrides) -> Certificate:
+def certify_tc(source) -> Certificate:
     """Navigation-complexity certificate for a tube planner.
 
     The base sphere S^{p-1} forces the lower bound 2; the pullback
@@ -112,7 +102,7 @@ def certify_tc(source, **overrides) -> Certificate:
     For odd p the value settles at 3 when the link is nonempty or when
     the relevant homotopy group of the fiber is trivial.
     """
-    ci = _as_inputs(source, **overrides)
+    ci = _as_inputs(source)
     if ci.p < 2:
         raise ValueError("need a target dimension of at least 2")
     tags = ["lower-bound-from-base-sphere-category"]
@@ -147,7 +137,7 @@ def certify_tc(source, **overrides) -> Certificate:
     )
 
 
-def certify_sec(source, fiber_components: Optional[int] = None, **overrides) -> Certificate:
+def certify_sec(source, fiber_components: Optional[int] = None) -> Certificate:
     """Section-number certificate for a plane-valued tube map.
 
     A disconnected fiber rules out any global section (value 2); a
@@ -155,9 +145,9 @@ def certify_sec(source, fiber_components: Optional[int] = None, **overrides) -> 
     `fiber_components` comes from `sample_fiber` and is recorded as
     'sampled'; a count already on the inputs keeps its provenance.
     """
+    ci = _as_inputs(source)
     if fiber_components is not None:
-        overrides |= {"fiber_components": int(fiber_components), "provenance": "sampled"}
-    ci = _as_inputs(source, **overrides)
+        ci = replace(ci, fiber_components=int(fiber_components), provenance="sampled")
     if ci.p != 2:
         raise WrongCodomain(f"section certificates need a plane target, got p = {ci.p}")
     comps = ci.fiber_components
@@ -165,34 +155,20 @@ def certify_sec(source, fiber_components: Optional[int] = None, **overrides) -> 
         raise ValueError("need a fiber component count; run sample_fiber first")
     if comps < 1:
         raise ValueError("component count must be positive")
-    assumptions = ("component-count-is-exhaustive",) if ci.provenance == "sampled" else ()
-    if comps >= 2:
-        return Certificate(
-            quantity="sec",
-            lower=2,
-            upper=2,
-            exact=2,
-            section_exists="no",
-            tags=("fiber-disconnected-blocks-sections",),
-            assumptions=assumptions,
-            inputs=ci.to_dict(),
-        )
+    connected = comps == 1
+    value = 1 if connected else 2
     return Certificate(
         quantity="sec",
-        lower=1,
-        upper=1,
-        exact=1,
-        section_exists="yes",
-        tags=("fiber-connected-global-section",),
-        assumptions=assumptions,
+        lower=value,
+        upper=value,
+        exact=value,
+        section_exists="yes" if connected else "no",
+        tags=(
+            "fiber-connected-global-section" if connected else "fiber-disconnected-blocks-sections",
+        ),
+        assumptions=("component-count-is-exhaustive",) if ci.provenance == "sampled" else (),
         inputs=ci.to_dict(),
     )
-
-
-def planner_upper_bound_agrees(cert: Certificate, planner) -> bool:
-    """Cross-check: a surviving k-region planner witnesses TC <= k, which
-    must coincide with the certificate's upper bound on coded examples."""
-    return len(planner.regions) == cert.upper
 
 
 # --- randomized contract suite ------------------------------------------------
@@ -215,7 +191,6 @@ class VerificationReport:
     max_surface_deviation: Optional[float] = None
     lift_failures: list = field(default_factory=list)
     failures: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -226,8 +201,8 @@ class VerificationReport:
             and not self.lift_failures
         )
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "planner": self.planner,
             "queries": self.queries,
             "regions": self.regions,
@@ -243,9 +218,6 @@ class VerificationReport:
             "failures": self.failures,
             "passed": self.passed,
         }
-        if include_timing:
-            d["wall_time"] = self.wall_time
-        return d
 
 
 def _planner_id(planner) -> str:
@@ -293,11 +265,9 @@ def run_contract_suite(
     endpoint contracts, and (on the first `deep` queries) dense on-sphere
     or projection checks along the whole path.
 
-    Reports are deterministic functions of (planner, n_queries, seed)
-    modulo wall time; failures carry the query index so a run can be
-    replayed.
+    Reports are deterministic functions of (planner, n_queries, seed);
+    failures carry the query index so a run can be replayed.
     """
-    t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     is_sphere = isinstance(planner, SpherePlanner)
     if queries is not None:
@@ -311,6 +281,9 @@ def run_contract_suite(
     ts = np.linspace(0.0, 1.0, knots)
 
     tol = NORM_TOL if is_sphere else planner.oracle.lift_tol
+    # what the endpoint check compares with the goal: the point itself on a
+    # sphere, its value under the work map on a pullback
+    value = (lambda x: x) if is_sphere else planner.workmap.f
 
     report = VerificationReport(
         planner=_planner_id(planner),
@@ -337,17 +310,11 @@ def run_contract_suite(
             continue
         idx, path = planned
 
-        # independent minimal-index scan over the base regions
-        if is_sphere:
-            pair = (normalize(a), normalize(b))
-            delta = planner.delta
-            base_regions = planner.regions
-        else:
-            pair = planner.base_pair(a, b)
-            delta = planner.base.delta
-            base_regions = planner.base.regions
+        # independent minimal-index scan over the (base) regions
+        pair = (normalize(a), normalize(b)) if is_sphere else planner.base_pair(a, b)
         scan = next(
-            (r.index for r in base_regions if r.member(pair[0], pair[1], delta)), None
+            (r.index for r in planner.regions if r.member(pair[0], pair[1], planner.delta)),
+            None,
         )
         if scan != idx:
             report.dispatch_mismatches += 1
@@ -355,16 +322,10 @@ def run_contract_suite(
                 {"index": i, "kind": "dispatch", "detail": f"planner {idx}, scan {scan}"}
             )
 
-        if is_sphere:
-            err = max(
-                float(np.linalg.norm(path.at(0.0) - a)),
-                float(np.linalg.norm(path.at(1.0) - b)),
-            )
-        else:
-            err = max(
-                float(np.linalg.norm(path.at(0.0) - a)),
-                float(np.linalg.norm(planner.workmap.f(path.at(1.0)) - b)),
-            )
+        err = max(
+            float(np.linalg.norm(path.at(0.0) - a)),
+            float(np.linalg.norm(value(path.at(1.0)) - b)),
+        )
         report.max_endpoint_error = max(report.max_endpoint_error, err)
         if err > tol:
             report.failures.append(
@@ -383,8 +344,8 @@ def run_contract_suite(
                     )
             else:
                 vals = planner.workmap.f(pts)
-                region = planner.base.regions[idx - 1]
-                gamma = Scaled(region.build(pair[0], pair[1], delta), planner.eta)
+                region = planner.regions[idx - 1]
+                gamma = Scaled(region.build(pair[0], pair[1], planner.delta), planner.eta)
                 proj = float(np.linalg.norm(vals - gamma.sample(ts), axis=1).max())
                 dev = float(np.abs(np.linalg.norm(vals, axis=1) - planner.eta).max())
                 max_proj = max(max_proj, proj)
@@ -398,7 +359,6 @@ def run_contract_suite(
         report.max_surface_deviation = max_surface
         if not is_sphere:
             report.max_projection_residual = max_proj
-    report.wall_time = time.perf_counter() - t_start
     return report
 
 

@@ -255,16 +255,45 @@ def test_flag_the_command_never_reads_is_rejected(argv):
         (["verify", "--sphere", "2", "--margin", "0.15"], "bad_margin"),
         (["fiber", "--germ", "{missing}"], "bad_germ_file"),
         (["fiber", "--germ", "{not_json}"], "bad_germ_file"),
+        (["fiber", "--germ", "{empty}"], "bad_germ_file"),
+        (["fiber", "--germ", "{bad_degree}"], "bad_germ_file"),
+        (["fiber", "--germ", "{big_eta}"], "bad_germ_file"),
+        (["fiber", "--germ", "{a_list}"], "bad_germ_file"),
     ],
-    ids=["plan-sphere-margin", "verify-margin", "missing-germ", "germ-not-json"],
+    ids=["plan-sphere-margin", "verify-margin", "missing-germ", "germ-not-json",
+         "germ-empty", "germ-bad-degree", "germ-big-eta", "germ-a-list"],
 )
 def test_bad_input_is_a_one_line_error(capsys, tmp_path, argv, kind):
-    files = {"missing": tmp_path / "missing.json", "not_json": tmp_path / "bad.json"}
+    files = {k: tmp_path / f"{k}.json" for k in
+             ("missing", "not_json", "empty", "bad_degree", "big_eta", "a_list")}
     files["not_json"].write_text("{not json")
+    files["empty"].write_text("{}")
+    files["a_list"].write_text("[]")
+    bad_degree = brieskorn_germ(2, 3).to_dict()
+    bad_degree["monomials"][0]["exponents"] = [3, 0]  # graded degree 9, not 6
+    files["bad_degree"].write_text(json.dumps(bad_degree))
+    files["big_eta"].write_text(json.dumps(brieskorn_germ(2, 3).to_dict() | {"eta": 5.0}))
     code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["kind"] == kind
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan-sphere", "--dim", "2", "--start", "nan,0,1", "--goal", "0,0,1"],
+        ["plan-arm", "--start", "nan,0.4", "--goal", "0.6,0,0.8"],
+        ["plan-arm", "--start", "0.3,0.4", "--goal", "nan,0,1"],
+        ["plan-tube", "--germ", "germs/cube.json", "--start", "inf,0", "--angle", "0"],
+    ],
+    ids=["plan-sphere-nan-start", "plan-arm-nan-start", "plan-arm-nan-goal", "plan-tube-inf"],
+)
+def test_non_finite_vector_flag_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_link_command(capsys, brieskorn_file):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from tubeplan.errors import LiftFailure
 from tubeplan.fibration import (
+    HALVING_BUDGET,
     ExactCircleOracle,
     NumericOracle,
     TaskingPlanner,
@@ -25,10 +26,12 @@ from tubeplan.fibration import (
     rr_arm_workmap,
 )
 from tubeplan.geometry import (
+    LIFT_NEWTON_ITERS,
     Constant,
     NormalizedSegment,
     NumericLift,
     Scaled,
+    normalize,
     path_from_json,
     path_to_json,
 )
@@ -334,6 +337,29 @@ def test_lift_batch_failing_row_leaves_the_others_alone():
     assert str(results[1]) == "corrector diverged after 12 halvings"
     assert 0.5 < results[1].t_star < 0.52
     _assert_same_as_solo(planner, starts, goals, results)
+
+
+def test_halving_budget_ends_a_runaway_lift():
+    # Scaled by 0.65 everywhere, the corrector converges only deep in the
+    # halving tree: without a budget this query takes minutes.
+    wm = rr_arm_workmap()
+    jac_calls = [0]
+
+    def jac(x):
+        jac_calls[0] += 1
+        return 0.65 * wm.jac(x)
+
+    weak = dataclasses.replace(wm, jac=jac)
+    rng = np.random.default_rng(5)
+    start, goal = weak.sample(rng, 1)[0], normalize(rng.standard_normal(3))
+    with pytest.raises(LiftFailure) as err:
+        pullback_planner(weak).plan(start, goal)
+    assert str(err.value) == f"halving budget of {HALVING_BUDGET} sub-steps spent"
+    assert 0.0 < err.value.t_star < 1.0
+    # every knot and every sub-step takes one predictor and at most
+    # LIFT_NEWTON_ITERS corrector Jacobians
+    steps = NumericOracle.n_knots - 1 + HALVING_BUDGET
+    assert jac_calls[0] <= steps * (1 + LIFT_NEWTON_ITERS)
 
 
 # --- planner structure ------------------------------------------------------------

@@ -20,10 +20,12 @@ from tubeplan.errors import (
     OddAmbientDim,
     ZeroVector,
 )
+from tubeplan.fibration import NumericOracle, pullback_planner, rr_arm_workmap
 from tubeplan.geometry import (
     Concat,
     Constant,
     NormalizedSegment,
+    NumericLift,
     Scaled,
     StereoSegment,
     normalize,
@@ -36,6 +38,7 @@ from tubeplan.geometry import (
     tangent_odd,
     write_path_csv,
 )
+from tubeplan.milnor import brieskorn_germ, circle_action_lift, hopf_germ, tube_fibration
 
 from conftest import random_unit, unit
 
@@ -281,9 +284,53 @@ def test_json_round_trip_nested():
     assert d["path"]["kind"] == "concat"
 
 
+def _path_of_kind(kind):
+    """One path whose tree holds the named node kind or work-map descriptor."""
+    a, b, c = unit([1.0, 0.1, 0.0]), unit([0.0, 1.0, 0.2]), unit([-1.0, 0.3, 0.1])
+    if kind == "constant":
+        return Constant(np.array([0.5, -0.25, 1.0]))
+    if kind == "normalized_segment":
+        return NormalizedSegment(a=a, b=b)
+    if kind == "stereo_segment":
+        return StereoSegment(a=a, b=c)
+    if kind == "concat":
+        return Concat(left=NormalizedSegment(a=a, b=b), right=StereoSegment(a=b, b=c))
+    if kind == "scaled":
+        return Scaled(path=StereoSegment(a=a, b=b), factor=0.125)
+    if kind == "no_workmap":
+        return NumericLift(knots=[0.0, 0.3, 1.0], points=[[0.1, 0.2], [0.4, 0.1], [0.5, -0.3]])
+    rng = np.random.default_rng(3)
+    germ = brieskorn_germ(2, 3)
+    tube = tube_fibration(germ)
+    if kind == "circle_action_arc":
+        return circle_action_lift(germ, tube.sample(rng, 1)[0], 1.3)
+    wm = {"arm": rr_arm_workmap(), "hopf": hopf_germ()}.get(kind, tube)
+    oracle = NumericOracle() if kind != "exact_tube" else None
+    goal = wm.eta * normalize(np.array([0.6, 0.3, 0.5][: wm.p]))
+    return pullback_planner(wm, oracle=oracle).plan(wm.sample(rng, 1)[0], goal)[1]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["constant", "normalized_segment", "stereo_segment", "concat", "scaled", "exact_tube",
+     "circle_action_arc", "arm", "hopf", "germ_tube_numeric", "no_workmap"],
+)
+def test_json_round_trip_every_node_kind(kind):
+    path = _path_of_kind(kind)
+    text = path_to_json(path)
+    again = path_from_json(text)
+    assert path_to_json(again) == text
+    # bit-equal between knots too, where a numeric lift polishes with its
+    # work map: so the work map was rebuilt from its descriptor
+    ts = np.linspace(0, 1, 41)
+    assert np.array_equal(path.sample(ts), again.sample(ts))
+
+
 def test_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         path_from_dict({"kind": "wormhole"})
+    with pytest.raises(ValueError):
+        path_from_dict({})
 
 
 def test_csv_output_shape():

@@ -16,7 +16,6 @@ from tubeplan.verify import (
     certify_sec,
     certify_tc,
     continuity_probe,
-    planner_upper_bound_agrees,
     probe_is_monotone,
     run_contract_suite,
 )
@@ -115,9 +114,9 @@ def test_certificate_serialization_keys():
 def test_upper_bound_agreement():
     germ = brieskorn_germ(2, 3)
     planner = pullback_planner(tube_fibration(germ))
-    assert planner_upper_bound_agrees(certify_tc(germ), planner)
+    assert len(planner.regions) == certify_tc(germ).upper
     hopf = pullback_planner(hopf_germ(), oracle=NumericOracle())
-    assert planner_upper_bound_agrees(certify_tc(hopf_germ()), hopf)
+    assert len(hopf.regions) == certify_tc(hopf_germ()).upper
 
 
 # --- randomized contract suite ------------------------------------------------------
@@ -145,9 +144,8 @@ def test_suite_deterministic():
     a = run_contract_suite(build_planner(1), 400, seed=7, deep=16)
     b = run_contract_suite(build_planner(1), 400, seed=7, deep=16)
     assert a.to_dict() == b.to_dict()
-    # timing is excluded from the serialized form by default
+    # no timing in the serialized form
     assert "wall_time" not in a.to_dict()
-    assert "wall_time" in a.to_dict(include_timing=True)
 
 
 def test_suite_records_lift_failures():
