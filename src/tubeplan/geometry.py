@@ -518,22 +518,26 @@ class NumericLift(PathExpr):
 
 
 def path_from_dict(d: dict) -> PathExpr:
-    """Rebuild a path from its `to_dict` form; an unknown kind raises ValueError."""
-    kind = d.get("kind")
-    if kind == "constant":
-        return Constant(np.asarray(d["point"]))
-    if kind == "normalized_segment":
-        return NormalizedSegment(np.asarray(d["a"]), np.asarray(d["b"]))
-    if kind == "stereo_segment":
-        return StereoSegment(np.asarray(d["a"]), np.asarray(d["b"]))
-    if kind == "concat":
-        return Concat(path_from_dict(d["left"]), path_from_dict(d["right"]))
-    if kind == "scaled":
-        return Scaled(path_from_dict(d["path"]), float(d["factor"]))
-    if kind in ("circle_action_lift", "numeric_lift"):
-        from .milnor import lift_from_dict  # these carry germs and work maps
+    """Rebuild a path from its `to_dict` form. An unknown kind, or a known
+    kind with a missing or mistyped field, raises ValueError."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    try:
+        if kind == "constant":
+            return Constant(np.asarray(d["point"]))
+        if kind == "normalized_segment":
+            return NormalizedSegment(np.asarray(d["a"]), np.asarray(d["b"]))
+        if kind == "stereo_segment":
+            return StereoSegment(np.asarray(d["a"]), np.asarray(d["b"]))
+        if kind == "concat":
+            return Concat(path_from_dict(d["left"]), path_from_dict(d["right"]))
+        if kind == "scaled":
+            return Scaled(path_from_dict(d["path"]), float(d["factor"]))
+        if kind in ("circle_action_lift", "numeric_lift"):
+            from .milnor import lift_from_dict  # these carry germs and work maps
 
-        return lift_from_dict(d)
+            return lift_from_dict(d)
+    except (AttributeError, IndexError, KeyError, TypeError) as ex:
+        raise ValueError(f"malformed {kind!r} path node: {ex!r}") from ex
     raise ValueError(f"unknown path node kind {kind!r}")
 
 

@@ -4,6 +4,7 @@ Frozen values below were computed by hand from the closed formulas
 (chart images, normalized midpoints) before the module was written.
 """
 
+import functools
 import io
 import json
 import math
@@ -284,6 +285,11 @@ def test_json_round_trip_nested():
     assert d["path"]["kind"] == "concat"
 
 
+NODE_KINDS = ["constant", "normalized_segment", "stereo_segment", "concat", "scaled",
+              "exact_tube", "circle_action_arc", "arm", "hopf", "germ_tube_numeric",
+              "no_workmap"]
+
+
 def _path_of_kind(kind):
     """One path whose tree holds the named node kind or work-map descriptor."""
     a, b, c = unit([1.0, 0.1, 0.0]), unit([0.0, 1.0, 0.2]), unit([-1.0, 0.3, 0.1])
@@ -310,11 +316,7 @@ def _path_of_kind(kind):
     return pullback_planner(wm, oracle=oracle).plan(wm.sample(rng, 1)[0], goal)[1]
 
 
-@pytest.mark.parametrize(
-    "kind",
-    ["constant", "normalized_segment", "stereo_segment", "concat", "scaled", "exact_tube",
-     "circle_action_arc", "arm", "hopf", "germ_tube_numeric", "no_workmap"],
-)
+@pytest.mark.parametrize("kind", NODE_KINDS)
 def test_json_round_trip_every_node_kind(kind):
     path = _path_of_kind(kind)
     text = path_to_json(path)
@@ -331,6 +333,56 @@ def test_from_dict_rejects_unknown_kind():
         path_from_dict({"kind": "wormhole"})
     with pytest.raises(ValueError):
         path_from_dict({})
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"kind": "constant"},
+        {"kind": "scaled", "path": {"kind": "constant", "point": [1.0]}, "factor": None},
+        {"kind": "concat", "left": {"kind": "constant", "point": [1.0]}},
+        {"kind": "normalized_segment", "a": [1.0, 0.0]},
+        {"kind": "numeric_lift", "knots": [0.0, 1.0], "points": [[0.0], [1.0]],
+         "workmap": {"kind": "named", "name": "x"}},
+    ],
+    ids=lambda d: d["kind"],
+)
+def test_from_dict_rejects_malformed_known_kind(d):
+    with pytest.raises(ValueError, match=f"malformed '{d['kind']}' path node"):
+        path_from_dict(d)
+
+
+@functools.cache
+def _node_json(kind):
+    return path_to_json(_path_of_kind(kind))
+
+
+def _dict_keys(node, at=()):
+    """(path to a dict, key) for every key of every dict nested in node."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield at, key
+            yield from _dict_keys(value, at + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _dict_keys(value, at + (i,))
+
+
+@pytest.mark.parametrize("kind", NODE_KINDS)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_from_dict_mutations_parse_or_raise_value_error(kind, data):
+    d = json.loads(_node_json(kind))
+    at, key = data.draw(st.sampled_from(list(_dict_keys(d))))
+    node = functools.reduce(lambda n, k: n[k], at, d)
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = None
+    try:
+        path_from_dict(d)
+    except ValueError:
+        pass
 
 
 def test_csv_output_shape():

@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ import tubeplan
 from tubeplan.errors import AmbiguousAssignment, TooFewPoints
 from tubeplan.fibration import rr_arm_workmap
 from tubeplan.milnor import (
+    CLUSTER_K,
     _cluster,
     Germ,
     GermFlags,
@@ -308,6 +310,62 @@ def test_cluster_labels_match_reference_union_find(name):
     assert n_comp == want.max() + 1
 
 
+def _adversarial_cloud(rng):
+    """Clumps with spreads 1e-13 to 1e-1, an optional bridge between two
+    clumps and optional uniform noise: at most 300 points in R^2 to R^4."""
+    dim = int(rng.integers(2, 5))
+    parts = [
+        rng.uniform(-1, 1, dim)
+        + 10.0 ** rng.uniform(-13, -1) * rng.standard_normal((int(rng.integers(2, 60)), dim))
+        for _ in range(int(rng.integers(1, 6)))
+    ]
+    if rng.uniform() < 0.5:
+        a, b = parts[0][0], parts[-1][0]
+        parts.append(a + np.linspace(0, 1, int(rng.integers(3, 40)))[:, None] * (b - a))
+    if rng.uniform() < 0.5:
+        parts.append(rng.uniform(-1, 1, (int(rng.integers(1, 40)), dim)))
+    points = np.concatenate(parts)[:300]
+    return points[rng.permutation(points.shape[0])]
+
+
+def test_cluster_matches_reference_on_adversarial_clouds():
+    for seed in range(300):
+        points = _adversarial_cloud(np.random.default_rng(seed))
+        labels, n_comp, radius = _cluster(points)
+        want = _reference_labels(points, radius)
+        assert np.array_equal(labels, want), seed
+        assert n_comp == want.max() + 1
+
+
+def test_cluster_joins_clumps_whose_knn_graphs_are_disjoint():
+    # Two dense clumps of 2(K+1) points 0.1 apart, and a far pair 0.05 apart
+    # that sets the radius to 0.15: every k-NN edge stays inside its clump,
+    # yet the radius graph joins the clumps.
+    rng = np.random.default_rng(0)
+    clump = 1e-3 * rng.standard_normal((2 * (CLUSTER_K + 1), 2))
+    points = np.concatenate([clump, clump + [0.1, 0.0], [[5.0, 0.0], [5.05, 0.0]]])
+    near = cKDTree(points).query(points, k=CLUSTER_K + 1)[1]
+    side = np.arange(points.shape[0]) // clump.shape[0]
+    assert np.all(side[near[: 2 * clump.shape[0]]] == side[: 2 * clump.shape[0], None])
+    labels, n_comp, radius = _cluster(points)
+    assert radius == pytest.approx(0.15)
+    assert n_comp == 2
+    assert np.array_equal(labels, _reference_labels(points, radius))
+
+
+def test_cluster_memory_stays_linear_on_a_point_fiber():
+    # all 5000 samples of z^1 sit within the radius floor of each other, so a
+    # listing of the radius graph would hold n^2/2 edges
+    points = sample_fiber(power_germ(1), n_seeds=5000, seed=1).points
+    tracemalloc.start()
+    try:
+        _cluster(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_component_sizes_sum():
     fs = sample_fiber(power_germ(3), n_seeds=500, seed=3)
     assert fs.component_sizes().sum() == fs.n_converged
@@ -349,6 +407,15 @@ def test_monodromy_identity_on_single_component():
         fs = sample_fiber(germ, n_seeds=600, seed=4)
         perm = monodromy_components(germ, fs)
         assert perm.tolist() == list(range(fs.n_components))
+
+
+def test_monodromy_refuses_no_hit_and_several_labels():
+    germ = power_germ(3)
+    fs = sample_fiber(germ, n_seeds=600, seed=4)
+    with pytest.raises(AmbiguousAssignment, match=r"lands near \[\]"):
+        monodromy_components(germ, replace(fs, radius=1e-300))
+    with pytest.raises(AmbiguousAssignment, match=r"lands near \[0, 1, 2\]"):
+        monodromy_components(germ, replace(fs, radius=1.0))
 
 
 def test_permutation_cycles_shape():
