@@ -2,18 +2,29 @@
 """Write the stdout, stderr and exit code of a fixed list of CLI commands.
 
     python3 scripts/cli_snapshot.py OUTDIR
+    python3 scripts/cli_snapshot.py --against REV
 
 Each command runs in-process through `tubeplan.cli.main`, from the root
 of the checkout that holds this script and against its `src/`. OUTDIR gets
 one NN-name.out, NN-name.err and NN-name.code file per command, so two
 checkouts compare byte for byte with `diff -r OUTDIR1 OUTDIR2`.
+
+--against REV does that comparison in one step: REV is extracted with
+`git archive` (as `scripts/bench_pairs.py` does), this script is copied
+into it, each checkout runs the same command list in a fresh interpreter
+with its snapshot in a temporary directory, and the commands whose files
+differ are printed. Exit status 1 when any command differs, 0 when all
+are identical.
 """
 
 import contextlib
 import io
 import os
 import pathlib
+import shutil
+import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -80,14 +91,13 @@ def run(argv: list[str]) -> tuple[int, str, str]:
             code = cli.main(argv)
         except SystemExit as ex:  # argparse errors
             code = ex.code
+        except Exception as ex:  # a crash is an outcome to compare too: exit 1, last line
+            code = 1
+            print(f"{type(ex).__name__}: {ex}", file=sys.stderr)
     return code, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
-    if len(sys.argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    outdir = pathlib.Path(sys.argv[1]).resolve()
+def snapshot(outdir: pathlib.Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(ROOT)  # germ paths, and the error messages naming them, are relative
     for n, (name, argv) in enumerate(commands(), 1):
@@ -97,6 +107,42 @@ def main() -> int:
         stem.with_suffix(".err").write_text(err)
         stem.with_suffix(".code").write_text(f"{code}\n")
         print(f"{n:02d} {name}: exit {code}")
+
+
+def against(rev: str) -> int:
+    """Snapshot REV and this checkout with this command list, each in a fresh
+    interpreter; report the commands whose files differ or exist on one side only."""
+    from bench_pairs import extract
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        extract(rev, tmp / "rev")
+        (tmp / "rev" / "scripts").mkdir(exist_ok=True)
+        shutil.copy(__file__, tmp / "rev" / "scripts" / "cli_snapshot.py")
+        outs = []
+        for root in (tmp / "rev", ROOT):
+            outs.append(tmp / f"out-{len(outs)}")
+            subprocess.run([sys.executable, str(root / "scripts" / "cli_snapshot.py"),
+                            str(outs[-1])], check=True, stdout=subprocess.DEVNULL)
+        sides = [{}, {}]  # per side: command stem -> {suffix: bytes}
+        for side, out in zip(sides, outs):
+            for path in out.iterdir():
+                side.setdefault(path.stem, {})[path.suffix] = path.read_bytes()
+    stems = sorted(sides[0].keys() | sides[1].keys())
+    differ = [stem for stem in stems if sides[0].get(stem) != sides[1].get(stem)]
+    for stem in differ:
+        print(f"differs: {stem}")
+    print(f"{len(stems) - len(differ)} of {len(stems)} commands identical to {rev}")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    if len(sys.argv) == 3 and sys.argv[1] == "--against":
+        return against(sys.argv[2])
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    snapshot(pathlib.Path(sys.argv[1]).resolve())
     return 0
 
 

@@ -76,20 +76,6 @@ class WorkMap:
         return self.sampler(rng, k)
 
 
-def jacobian_fd(wm: WorkMap, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian, the independent check for wm.jac."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.shape[0]):
-        step = h * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += step
-        xm[j] -= step
-        cols.append((wm.f(xp) - wm.f(xm)) / (2.0 * step))
-    return np.stack(cols, axis=-1)
-
-
 @dataclass(frozen=True)
 class ExactCircleOracle:
     """Exact lifting through the weighted circle action of a plane germ.
@@ -183,8 +169,7 @@ class NumericOracle:
             if gap > 10.0 * self.lift_tol:
                 raise ValueError(f"start sits {gap:.3e} off the base point")
             if wm.singular_values is not None:
-                goal = path.at(1.0)
-                d = float(np.min(np.linalg.norm(wm.singular_values - goal, axis=1)))
+                d = float(np.min(np.linalg.norm(wm.singular_values - path.at(1.0), axis=1)))
                 if d < self.singular_margin:
                     out[i] = LiftFailure(
                         1.0,
@@ -218,21 +203,18 @@ class NumericOracle:
                         keep[j] = False
                 xnew, live = xnew[keep], live[keep]
                 gammas, steps = gammas[:, keep], steps[:, keep]
-            table[k + 1, live] = x = xnew
+            if live.size == rows.size:
+                table[k + 1] = x = xnew
+            else:
+                table[k + 1, live] = x = xnew
         for j, i in enumerate(rows):
             if out[i] is None:
-                out[i] = NumericLift(
-                    knots=ts,
-                    points=np.ascontiguousarray(table[:, j]),
-                    workmap=wm,
-                    base=paths[i],
-                )
+                out[i] = NumericLift(ts, np.ascontiguousarray(table[:, j]), wm, paths[i])
         return out
 
     def _advance(self, wm, x, step, target) -> tuple[np.ndarray, np.ndarray]:
-        # tangent predictor along the base step, then the corrector onto the
-        # target fiber; a singular step is NaN, which the corrector reports
-        # as a failure, so it halves like one
+        # tangent predictor along the base step, then the corrector onto the target
+        # fiber; a singular step is NaN, which the corrector fails, so it halves
         xpred = x + gauss_newton_step(wm.jac(x), step)[0]
         return newton_project(
             wm.f, wm.jac, xpred, target, tol=LIFT_NEWTON_TOL, max_iter=LIFT_NEWTON_ITERS
@@ -359,26 +341,25 @@ def pullback_planner(
 
 def _rr_f(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    a, b = x[..., 0], x[..., 1]
-    ca = np.cos(a)
+    c, s = np.cos(x), np.sin(x)
+    ca = c[..., 0]
     out = np.empty(x.shape[:-1] + (3,), dtype=float)
-    out[..., 0] = ca * np.cos(b)
-    out[..., 1] = ca * np.sin(b)
-    out[..., 2] = np.sin(a)
+    out[..., 0] = ca * c[..., 1]
+    out[..., 1] = ca * s[..., 1]
+    out[..., 2] = s[..., 0]
     return out
 
 
 def _rr_jac(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    a, b = x[..., 0], x[..., 1]
-    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
-    J = np.empty(x.shape[:-1] + (3, 2), dtype=float)
-    J[..., 0, 0] = -sa * cb
+    c, s = np.cos(x), np.sin(x)
+    ca, nsa, cb, sb = c[..., 0], -s[..., 0], c[..., 1], s[..., 1]
+    J = np.zeros(x.shape[:-1] + (3, 2), dtype=float)
+    J[..., 0, 0] = nsa * cb
     J[..., 0, 1] = -ca * sb
-    J[..., 1, 0] = -sa * sb
+    J[..., 1, 0] = nsa * sb
     J[..., 1, 1] = ca * cb
     J[..., 2, 0] = ca
-    J[..., 2, 1] = 0.0
     return J
 
 

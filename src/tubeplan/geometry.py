@@ -16,11 +16,19 @@ level sets {f(x) = c} with it.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+
+try:  # the C einsum behind np.einsum, without its Python dispatch layers
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
 
 from .errors import AtPole, DomainError, EvenAmbientDim, LiftFailure, OddAmbientDim, ZeroVector
 
@@ -123,29 +131,38 @@ def gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndar
     (p <= n) take the minimum-norm step J^T (J J^T)^{-1} r; tall rows
     (p > n, such as the arm's R^2 -> R^3) take the least-squares step
     (J^T J)^{-1} J^T r, since J J^T is singular there. ok flags the rows
-    whose normal matrix is nonsingular; the other rows of dx are NaN.
-    See Allgower & Georg, Introduction to Numerical Continuation
+    whose normal matrix is finite and nonsingular; the other rows of dx
+    are NaN. See Allgower & Georg, Introduction to Numerical Continuation
     Methods (SIAM 2003).
     """
     wide = J.shape[-2] <= J.shape[-1]
-    Jt = np.swapaxes(J, 1, 2)
-    normal, rhs = (J @ Jt, r) if wide else (Jt @ J, np.einsum("kpn,kp->kn", J, r))
-    ok = np.abs(np.linalg.det(normal)) > 1e-300
-    degenerate = not ok.all()
+    Jt = J.transpose(0, 2, 1)
+    normal, rhs = (J @ Jt, r) if wide else (Jt @ J, c_einsum("kpn,kp->kn", J, r))
+    # LAPACK through numpy's gufuncs: np.linalg's wrapping costs more than a small
+    # block's solve. det flags a non-finite matrix, and J is finite iff sum J^2 is.
+    if not np.vdot(J, J) < np.inf:
+        normal[~np.isfinite(normal).all(axis=(1, 2))] = 0.0  # singular, so not ok
+    ok = np.abs(_umath_linalg.det(normal, signature="d->d")) > 1e-300
+    degenerate = np.count_nonzero(ok) < ok.size
     if degenerate:
         normal[~ok] = np.eye(normal.shape[-1])  # a solvable stand-in; its rows turn NaN
-    sol = np.linalg.solve(normal, rhs[..., None])[..., 0]
-    dx = np.einsum("kpn,kp->kn", J, sol) if wide else sol
+    sol = _umath_linalg.solve1(normal, rhs, signature="dd->d")
+    dx = c_einsum("kpn,kp->kn", J, sol) if wide else sol
     if degenerate:
         dx[~ok] = np.nan
     return dx, ok
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a, axis=1) for a real (k, m) block: the same arithmetic
-    without the argument handling, which dominates on the small blocks of
-    `newton_project`."""
-    return np.sqrt(np.add.reduce(a * a, axis=1))
+@functools.lru_cache(maxsize=None)
+def _squared_bound(b: float) -> np.ndarray:
+    """The largest s with sqrt(s) <= b: sqrt is correctly rounded and monotone,
+    so a row norm is <= b exactly when its sum of squares is <= s."""
+    s = b * b
+    while math.sqrt(math.nextafter(s, math.inf)) <= b:
+        s = math.nextafter(s, math.inf)
+    while math.sqrt(s) > b:
+        s = math.nextafter(s, -math.inf)
+    return np.array(s)  # numpy compares with a 0-d array faster than with a float
 
 
 def newton_project(
@@ -174,10 +191,12 @@ def newton_project(
         if x.shape[0] == 0:
             break
         r = f(x) - t
-        done = _row_norms(r) <= tol
+        done = np.add.reduce(r * r, 1) <= _squared_bound(tol)
         n_done = np.count_nonzero(done)
         if n_done == x.shape[0]:
-            ok[slice(None) if live is None else live] = True
+            if live is None:
+                return xs, done
+            ok[live] = True
             break
         if n_done:
             live = np.arange(xs.shape[0]) if live is None else live
@@ -188,13 +207,13 @@ def newton_project(
             break
         dx, _ = gauss_newton_step(jac(x), r)
         x -= dx
-        # a degenerate normal matrix gives a NaN step, so a non-finite row
-        # covers it; that or a blow-up gives up on the row
-        wild = ~np.isfinite(x).all(axis=1) | (_row_norms(dx) > NEWTON_BLOWUP)
-        if np.count_nonzero(wild):
+        # a degenerate normal matrix gives a NaN step, which fails the
+        # comparison; that or a blow-up gives up on the row
+        tame = np.add.reduce(dx * dx, 1) <= _squared_bound(NEWTON_BLOWUP)
+        if np.count_nonzero(tame) < tame.size:
             live = np.arange(xs.shape[0]) if live is None else live
-            xs[live[wild]] = np.nan
-            x, t, live = x[~wild], t[~wild], live[~wild]
+            xs[live[~tame]] = np.nan
+            x, t, live = x[tame], t[tame], live[tame]
     if live is not None:
         xs[live] = x
     return xs, ok
@@ -216,7 +235,6 @@ class PathExpr:
         if ts.size and (ts.min() < -DOMAIN_TOL or ts.max() > 1.0 + DOMAIN_TOL):
             raise DomainError("sample grid leaves [0, 1]")
         return self._eval_batch(np.clip(ts, 0.0, 1.0))
-
 
 
 @dataclass(frozen=True)

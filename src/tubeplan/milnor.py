@@ -639,12 +639,13 @@ def regularity_probe(germ: Germ, n_samples: int = 2000, seed: int = 0) -> Regula
 
 
 def _hopf_f(x: np.ndarray) -> np.ndarray:
+    # p[..., i, j] = x_{i+1} x_{j+3}; b - a is b + (-1) a exactly, so one call does both
     x = np.asarray(x, dtype=float)
-    x1, x2, x3, x4 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    p = x[..., :2, None] * x[..., None, 2:]
+    q = x * x
     out = np.empty(x.shape[:-1] + (3,), dtype=float)
-    out[..., 0] = 2.0 * (x1 * x3 + x2 * x4)
-    out[..., 1] = 2.0 * (x2 * x3 - x1 * x4)
-    out[..., 2] = x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4
+    out[..., :2] = 2.0 * (p[..., :, 0] + p[..., ::-1, 1] * _PLUS_MINUS)
+    out[..., 2] = q[..., 0] + q[..., 1] - q[..., 2] - q[..., 3]
     return out
 
 
@@ -652,6 +653,7 @@ def _hopf_f(x: np.ndarray) -> np.ndarray:
 # _HOPF_SIGN[i, c] * 2 x[_HOPF_COLS[i, c]].
 _HOPF_COLS = np.array([[2, 3, 0, 1], [3, 2, 1, 0], [0, 1, 2, 3]])
 _HOPF_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
+_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 def _hopf_jac(x: np.ndarray) -> np.ndarray:

@@ -1,0 +1,108 @@
+"""Reference implementations the tests check the numeric core against.
+
+They are the plain forms: the Jacobian by central differences, the
+Gauss-Newton step and the Newton projection through `np.linalg`, and the
+arm and Hopf maps written one column at a time. The package's versions
+trim numpy's per-call overhead on small blocks and must stay bit for bit
+equal to these.
+"""
+
+import numpy as np
+
+NEWTON_BLOWUP = 1e6
+
+
+def jacobian_fd(wm, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian, the independent check for wm.jac."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.shape[0]):
+        step = h * max(1.0, abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += step
+        xm[j] -= step
+        cols.append((wm.f(xp) - wm.f(xm)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+def gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    wide = J.shape[-2] <= J.shape[-1]
+    Jt = np.swapaxes(J, 1, 2)
+    normal, rhs = (J @ Jt, r) if wide else (Jt @ J, np.einsum("kpn,kp->kn", J, r))
+    ok = np.abs(np.linalg.det(normal)) > 1e-300
+    degenerate = not ok.all()
+    if degenerate:
+        normal[~ok] = np.eye(normal.shape[-1])
+    sol = np.linalg.solve(normal, rhs[..., None])[..., 0]
+    dx = np.einsum("kpn,kp->kn", J, sol) if wide else sol
+    if degenerate:
+        dx[~ok] = np.nan
+    return dx, ok
+
+
+def newton_project(f, jac, x0s, targets, tol=1e-12, max_iter=50):
+    xs = np.array(x0s, dtype=float)
+    ok = np.zeros(xs.shape[0], dtype=bool)
+    x, t, live = xs, np.asarray(targets, dtype=float), None
+    for it in range(max_iter + 1):
+        if x.shape[0] == 0:
+            break
+        r = f(x) - t
+        done = np.linalg.norm(r, axis=1) <= tol
+        n_done = np.count_nonzero(done)
+        if n_done == x.shape[0]:
+            ok[slice(None) if live is None else live] = True
+            break
+        if n_done:
+            live = np.arange(xs.shape[0]) if live is None else live
+            ok[live[done]] = True
+            xs[live[done]] = x[done]
+            x, t, r, live = x[~done], t[~done], r[~done], live[~done]
+        if it == max_iter:
+            break
+        dx, _ = gauss_newton_step(jac(x), r)
+        x -= dx
+        wild = ~np.isfinite(x).all(axis=1) | (np.linalg.norm(dx, axis=1) > NEWTON_BLOWUP)
+        if np.count_nonzero(wild):
+            live = np.arange(xs.shape[0]) if live is None else live
+            xs[live[wild]] = np.nan
+            x, t, live = x[~wild], t[~wild], live[~wild]
+    if live is not None:
+        xs[live] = x
+    return xs, ok
+
+
+def rr_f(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    a, b = x[..., 0], x[..., 1]
+    ca = np.cos(a)
+    out = np.empty(x.shape[:-1] + (3,), dtype=float)
+    out[..., 0] = ca * np.cos(b)
+    out[..., 1] = ca * np.sin(b)
+    out[..., 2] = np.sin(a)
+    return out
+
+
+def rr_jac(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    a, b = x[..., 0], x[..., 1]
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    J = np.empty(x.shape[:-1] + (3, 2), dtype=float)
+    J[..., 0, 0] = -sa * cb
+    J[..., 0, 1] = -ca * sb
+    J[..., 1, 0] = -sa * sb
+    J[..., 1, 1] = ca * cb
+    J[..., 2, 0] = ca
+    J[..., 2, 1] = 0.0
+    return J
+
+
+def hopf_f(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    x1, x2, x3, x4 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    out = np.empty(x.shape[:-1] + (3,), dtype=float)
+    out[..., 0] = 2.0 * (x1 * x3 + x2 * x4)
+    out[..., 1] = 2.0 * (x2 * x3 - x1 * x4)
+    out[..., 2] = x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4
+    return out

@@ -7,12 +7,14 @@ the start by exp(i * phi / 2) lifts a value rotation of phi.
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubeplan import fibration, geometry, milnor
 from tubeplan.errors import LiftFailure
 from tubeplan.fibration import (
     HALVING_BUDGET,
@@ -20,7 +22,6 @@ from tubeplan.fibration import (
     NumericOracle,
     TaskingPlanner,
     WorkMap,
-    jacobian_fd,
     newton_project,
     pullback_planner,
     rr_arm_workmap,
@@ -40,6 +41,8 @@ from tubeplan.sphere_planner import build_planner
 from tubeplan.verify import run_contract_suite
 
 from conftest import random_unit
+import numeric_reference as ref
+from numeric_reference import jacobian_fd
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -120,6 +123,117 @@ def test_newton_project_reports_rows_live_at_max_iter():
     assert ok.tolist() == [False, True]
     assert np.all(np.isfinite(xs[0])) and xs[0, 0] > 1.0
     assert xs[1].tolist() == [0.0, 1.0]
+
+
+def test_newton_project_keeps_a_non_finite_start_unconverged():
+    x0 = np.array([[np.nan, 1.0], [1.5, 0.0], [0.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, ok = newton_project(_circle_f, _circle_jac, x0, np.zeros((3, 1)))
+    assert ok.tolist() == [False, True, True]
+    assert np.isnan(xs[0]).all()
+    assert np.abs(np.linalg.norm(xs[1:], axis=1) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("b", [0.0, 1e-14, 1e-12, 1e-10, 1e-6, 0.3, 1.0, 1e6])
+def test_squared_bound_is_the_exact_cut_of_sqrt(b):
+    s = float(geometry._squared_bound(b))
+    assert math.sqrt(s) <= b < math.sqrt(np.nextafter(s, np.inf))
+    near = np.array([b * b, s]) * (1.0 + np.arange(-200, 201)[:, None] * 2.0**-52)
+    assert np.array_equal(np.sqrt(near) <= b, near <= s)
+
+
+# One block per shape (arm: tall 3x2; Hopf: wide 3x4) holding a finite row,
+# a NaN row, an exactly singular normal matrix and a row with an inf entry.
+def _degenerate_block(p, n):
+    rng = np.random.default_rng(3)
+    J = rng.uniform(0.5, 1.5, (4, p, n))
+    J[1, 0, 1] = np.nan
+    J[2] = 0.0
+    J[2, 0, 0] = 1.0
+    J[3, 1, 0] = np.inf
+    return J, rng.uniform(0.5, 1.5, (4, p))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3, 4)], ids=["tall", "wide"])
+def test_gauss_newton_step_degenerate_rows(shape):
+    J, r = _degenerate_block(*shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dx, ok = geometry.gauss_newton_step(J.copy(), r)
+        solo, solo_ok = geometry.gauss_newton_step(J[:1].copy(), r[:1])
+    assert ok.tolist() == [True, False, False, False]
+    assert np.isnan(dx[1:]).all()
+    assert solo_ok.tolist() == [True]
+    assert np.array_equal(dx[:1], solo)
+    ref_dx, _ = ref.gauss_newton_step(J[:1].copy(), r[:1])
+    assert np.array_equal(solo, ref_dx)
+
+
+# --- bit-identity of the numeric core against its plain reference ---------------
+
+_REF_MAPS = {"rr_arm": (ref.rr_f, ref.rr_jac), "hopf": (ref.hopf_f, milnor._hopf_jac)}
+
+
+def _track_tables(reference_maps=False):
+    """Knot tables (or refusals) of 20 one-row plans and one 40-row plan_batch
+    per numeric map, optionally tracked through the reference maps."""
+    tables = []
+    for wm in (rr_arm_workmap(), hopf_germ()):
+        if reference_maps:
+            f, jac = _REF_MAPS[wm.name]
+            wm = dataclasses.replace(wm, f=f, jac=jac)
+        planner = pullback_planner(wm, oracle=NumericOracle())
+        rng = np.random.default_rng(29)
+        starts = wm.sample(rng, 60)
+        goals = wm.eta * np.array([random_unit(rng, 3) for _ in range(60)])
+        results = []
+        for e, w in zip(starts[:20], goals[:20]):
+            try:
+                results.append(planner.plan(e, w))
+            except LiftFailure as ex:
+                results.append(ex)
+        results += planner.plan_batch(starts[20:], goals[20:])
+        tables += [
+            (type(r).__name__, str(r)) if isinstance(r, Exception) else r[1].points
+            for r in results
+        ]
+    return tables
+
+
+@pytest.mark.parametrize("layer", ["gauss_newton_step", "newton_project", "maps"])
+def test_tracking_is_bit_identical_to_the_reference(layer, monkeypatch):
+    """The tracked knot tables do not change when a layer of the numeric core
+    is swapped for its plain reference (the reference loop takes the
+    reference step)."""
+    fast = _track_tables()
+    if layer != "maps":
+        for mod in (geometry, fibration):
+            monkeypatch.setattr(mod, layer, getattr(ref, layer))
+    slow = _track_tables(reference_maps=layer == "maps")
+    assert len(fast) == len(slow) == 120
+    assert sum(isinstance(a, np.ndarray) for a in fast) >= 110
+    for a, b in zip(fast, slow):
+        if isinstance(a, np.ndarray):
+            assert isinstance(b, np.ndarray) and np.array_equal(a, b)
+        else:
+            assert a == b
+
+
+def test_numeric_maps_equal_their_column_formulas():
+    rng = np.random.default_rng(11)
+    ang = rng.uniform(-4.0, 4.0, (100_000, 2))
+    assert np.array_equal(fibration._rr_f(ang), ref.rr_f(ang))
+    assert np.array_equal(fibration._rr_jac(ang), ref.rr_jac(ang))
+    for a in (*ang[:2000], *np.split(ang[2000:4000], 2000)):  # rows, and 1-row blocks
+        assert np.array_equal(fibration._rr_f(a), ref.rr_f(a))
+        assert np.array_equal(fibration._rr_jac(a), ref.rr_jac(a))
+    x = rng.standard_normal((100_000, 4)) * rng.choice([1e-160, 1e-3, 1.0, 1e150], (100_000, 4))
+    x[:100] = np.copysign(0.0, x[:100])
+    assert np.array_equal(milnor._hopf_f(x), ref.hopf_f(x))
+    assert np.array_equal(np.signbit(milnor._hopf_f(x)), np.signbit(ref.hopf_f(x)))
+    for row in (*x[:2000], *np.split(x[2000:4000], 2000)):
+        assert np.array_equal(milnor._hopf_f(row), ref.hopf_f(row))
 
 
 # --- exact circle-action lifting ------------------------------------------------

@@ -47,6 +47,7 @@ from tubeplan.milnor import (
 )
 
 from conftest import random_unit
+from numeric_reference import jacobian_fd
 
 GERM_DIR = pathlib.Path(__file__).resolve().parent.parent / "germs"
 
@@ -492,8 +493,6 @@ def test_hopf_fiber_is_connected():
 
 
 def test_hopf_jacobian_matches_finite_differences(rng):
-    from tubeplan.fibration import jacobian_fd
-
     wm = hopf_germ()
     for _ in range(20):
         x = rng.standard_normal(4) * 0.5
