@@ -81,6 +81,13 @@ def commands() -> list[tuple[str, list[str]]]:
         ("bad-margin", ["plan-sphere", "--dim", "3", "--start", "0,0,0,1", "--goal", "0,1,0,0",
                         "--margin", "0.2"]),
         ("missing-germ", ["fiber", "--germ", "germs/missing.json"]),
+        ("verify-sphere-3", ["verify", "--sphere", "3"]),
+        ("verify-sphere-4-deep", ["verify", "--sphere", "4", "--deep", "50"]),
+        ("verify-two-factor", ["verify", "--germ", "germs/two_factor.json"]),
+        ("verify-cube-deep", ["verify", "--germ", CUBE, "--deep", "20"]),
+        # exit 2 at parse time; before that check it planned, then crashed in linspace
+        ("plan-sphere-negative-samples", ["plan-sphere", "--dim", "2", "--start", "0,0,1",
+                                          "--goal=0,0,-1", "--samples", "-3"]),
     ]
 
 

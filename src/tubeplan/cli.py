@@ -267,6 +267,13 @@ def cmd_link(parser, args) -> int:
     return EXIT_OK
 
 
+def sample_count(text: str) -> int:
+    n = int(text)  # argparse reports a ValueError as "invalid sample_count value"
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
 def _add_common(sp, *, seed: bool = False, margin: bool = False, path: bool = False) -> None:
     if seed:
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -274,7 +281,7 @@ def _add_common(sp, *, seed: bool = False, margin: bool = False, path: bool = Fa
         sp.add_argument("--margin", type=float, default=DEFAULT_MARGIN, help="region margin delta")
     sp.add_argument("--out", default=None, help="write output to this file instead of stdout")
     if path:
-        sp.add_argument("--samples", type=int, default=65, help="sample count along the path")
+        sp.add_argument("--samples", type=sample_count, default=65, help="samples along the path")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 

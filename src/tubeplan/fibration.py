@@ -31,6 +31,7 @@ from .geometry import (
     gauss_newton_step,
     newton_project,  # re-exported: tests and tools import it from here
     normalize,
+    row_norms,
 )
 from .sphere_planner import DEFAULT_MARGIN, SpherePlanner, build_planner
 
@@ -66,9 +67,10 @@ class WorkMap:
     flags: Optional[dict] = None
 
     def descriptor(self) -> Optional[dict]:
+        from .milnor import NAMED_WORKMAPS  # milnor imports this module
         if self.germ is not None:
             return {"kind": "germ", "germ": self.germ.to_dict()}
-        if self.name in ("rr_arm", "hopf"):  # rebuilt by name in milnor.lift_from_dict
+        if self.name in NAMED_WORKMAPS:
             return {"kind": "named", "name": self.name}
         return None
 
@@ -90,17 +92,19 @@ class ExactCircleOracle:
     kind = "exact"
 
     def lift(self, wm: WorkMap, e: np.ndarray, path: PathExpr) -> PathExpr:
-        if wm.germ is None or wm.p != 2:
-            raise ValueError("exact lifting needs a plane-valued germ work map")
-        e = np.asarray(e, dtype=float)
-        gap = float(np.linalg.norm(wm.f(e) - path.at(0.0)))
-        if gap > 10.0 * self.lift_tol:
-            raise ValueError(f"start sits {gap:.3e} off the base point")
-        return self._lift(wm.germ, e, path)
+        (lam,) = self.lift_batch(wm, [e], [path])
+        return lam
 
     def lift_batch(self, wm: WorkMap, starts: np.ndarray, paths: list) -> list:
-        """`lift` on every row; exact lifts are closed form, so a loop serves."""
-        return [self.lift(wm, e, path) for e, path in zip(starts, paths, strict=True)]
+        """`lift` on every row: one gap check over the block, then each closed-form lift."""
+        if wm.germ is None or wm.p != 2:
+            raise ValueError("exact lifting needs a plane-valued germ work map")
+        starts = np.asarray(starts, dtype=float)
+        gaps = row_norms(wm.f(starts) - np.array([path.at(0.0) for path in paths]))
+        off = gaps > 10.0 * self.lift_tol
+        if off.any():
+            raise ValueError(f"start sits {gaps[off][0]:.3e} off the base point")
+        return [self._lift(wm.germ, e, path) for e, path in zip(starts, paths, strict=True)]
 
     def _lift(self, germ, x0: np.ndarray, path: PathExpr) -> PathExpr:
         if isinstance(path, Scaled):
@@ -274,20 +278,25 @@ class TaskingPlanner:
     def eta(self) -> float:
         return self.workmap.eta
 
-    def base_pair(self, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        e = np.asarray(e, dtype=float)
-        w = np.asarray(w, dtype=float)
-        fe = self.workmap.f(e)
-        scale = max(1.0, self.eta)
-        if abs(float(np.linalg.norm(fe)) - self.eta) > 1e-6 * scale:
-            raise ValueError("start configuration does not sit over the task sphere")
-        if abs(float(np.linalg.norm(w)) - self.eta) > 1e-6 * scale:
+    def base_pairs(self, starts: np.ndarray, goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows (f(e)/eta, w/eta) on the base sphere, from one work map call;
+        the first row with a start or goal off the task sphere raises."""
+        fe = self.workmap.f(np.asarray(starts, dtype=float))
+        goals = np.asarray(goals, dtype=float)
+        tol = 1e-6 * max(1.0, self.eta)
+        off_start = np.abs(row_norms(fe) - self.eta) > tol
+        off_goal = np.abs(row_norms(goals) - self.eta) > tol
+        off = off_start | off_goal
+        if off.any():
+            if off_start[off][0]:
+                raise ValueError("start configuration does not sit over the task sphere")
             raise ValueError("goal value does not sit on the task sphere")
-        return normalize(fe), normalize(w)
+        return normalize(fe), normalize(goals)
 
     def plan(self, e: np.ndarray, w: np.ndarray) -> tuple[int, PathExpr]:
         """Return (region index, lifted path from e onto the fiber of w)."""
-        (result,) = self.plan_batch([e], [w])
+        e, w = np.asarray(e, dtype=float), np.asarray(w, dtype=float)
+        (result,) = self.plan_batch(e[None], w[None])
         if isinstance(result, Exception):
             raise result
         return result
@@ -296,14 +305,15 @@ class TaskingPlanner:
         """Plan every row: (region index, lifted path), or the Uncovered or
         LiftFailure that refused it.
 
-        Dispatch and the base paths are per query; all lifts go to the
-        oracle in one `lift_batch` call.
+        The block's base pairs come from one `base_pairs` call, dispatch and the
+        base paths are per query, and all lifts go to the oracle in one call.
         """
+        if len(starts) == len(goals) == 0:
+            return []
+        starts = np.asarray(starts, dtype=float)
         results: list = [None] * len(starts)
-        todo, es, gammas = [], [], []
-        for i, (e, w) in enumerate(zip(starts, goals, strict=True)):
-            e = np.asarray(e, dtype=float)
-            th1, th2 = self.base_pair(e, w)
+        todo, gammas = [], []
+        for i, (th1, th2) in enumerate(zip(*self.base_pairs(starts, goals), strict=True)):
             try:
                 idx = self.base.dispatch(th1, th2)
             except Uncovered as ex:
@@ -311,10 +321,9 @@ class TaskingPlanner:
                 continue
             region = self.base.regions[idx - 1]
             todo.append((i, idx))
-            es.append(e)
             gammas.append(Scaled(region.build(th1, th2, self.base.delta), self.eta))
         if todo:
-            lifts = self.oracle.lift_batch(self.workmap, np.array(es), gammas)
+            lifts = self.oracle.lift_batch(self.workmap, starts[[i for i, _ in todo]], gammas)
             for (i, idx), lam in zip(todo, lifts):
                 results[i] = lam if isinstance(lam, LiftFailure) else (idx, lam)
         return results

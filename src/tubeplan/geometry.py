@@ -29,6 +29,10 @@ try:  # the C einsum behind np.einsum, without its Python dispatch layers
     from numpy._core.multiarray import c_einsum
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum
+try:  # rowwise dot products through the same dot kernel as a 1-D np.linalg.norm
+    from numpy import vecdot as _vecdot
+except ImportError:  # numpy < 2: matmul of 1 x d by d x 1 takes the same dot
+    _vecdot = lambda x, y: (x[:, None, :] @ y[:, :, None])[:, 0, 0]  # noqa: E731
 
 from .errors import AtPole, DomainError, EvenAmbientDim, LiftFailure, OddAmbientDim, ZeroVector
 
@@ -53,6 +57,12 @@ def normalize(v: np.ndarray) -> np.ndarray:
     if np.any(n <= ZERO_TOL):
         raise ZeroVector(f"cannot normalize vector with norm {float(n.min()):.3e}")
     return v / n
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """||x_i|| of every row of a (k, d) block, bit for bit the 1-D np.linalg.norm of
+    the row (a dot product); np.linalg.norm(x, axis=-1) is an ulp off on some rows."""
+    return np.sqrt(_vecdot(x, x))
 
 
 def stereo_proj(x: np.ndarray) -> np.ndarray:
@@ -226,14 +236,14 @@ class PathExpr:
 
     def at(self, t: float) -> np.ndarray:
         t = float(t)
-        if t < -DOMAIN_TOL or t > 1.0 + DOMAIN_TOL:
+        if not -DOMAIN_TOL <= t <= 1.0 + DOMAIN_TOL:  # NaN fails too
             raise DomainError(f"path parameter {t!r} outside [0, 1]")
         return self._eval(min(1.0, max(0.0, t)))
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < -DOMAIN_TOL or ts.max() > 1.0 + DOMAIN_TOL):
-            raise DomainError("sample grid leaves [0, 1]")
+        if ts.size and not (ts.min() >= -DOMAIN_TOL and ts.max() <= 1.0 + DOMAIN_TOL):
+            raise DomainError("sample grid leaves [0, 1] or holds NaN")
         return self._eval_batch(np.clip(ts, 0.0, 1.0))
 
 

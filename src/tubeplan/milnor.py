@@ -133,7 +133,7 @@ class Germ:
         z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape[:-1], dtype=complex)
         for coeff, expo in self.monomials:
-            out = out + coeff * np.prod(z ** np.asarray(expo), axis=-1)
+            out = out + coeff * np.multiply.reduce(z ** np.asarray(expo), axis=-1)
         return out
 
     def grad_complex(self, z: np.ndarray) -> np.ndarray:
@@ -151,7 +151,10 @@ class Germ:
     def f_real(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         v = self.eval_complex(x[..., 0::2] + 1j * x[..., 1::2])
-        return np.stack([v.real, v.imag], axis=-1)
+        out = np.empty(v.shape + (2,))  # np.stack's wrapping costs more than a row's f
+        out[..., 0] = v.real
+        out[..., 1] = v.imag
+        return out
 
     def jac_real(self, x: np.ndarray) -> np.ndarray:
         """Realified Jacobian (..., 2, 2*ncx) of (Re f, Im f)."""
@@ -685,6 +688,9 @@ def hopf_germ() -> WorkMap:
 
 # --- deserialization -------------------------------------------------------------
 
+# Germless work maps that path JSON names (`WorkMap.descriptor`, `lift_from_dict`)
+NAMED_WORKMAPS = {"rr_arm": rr_arm_workmap, "hopf": hopf_germ}
+
 
 def lift_from_dict(d: dict) -> PathExpr:
     """The lift nodes of `geometry.path_from_dict`, which carry germs and work maps."""
@@ -700,7 +706,7 @@ def lift_from_dict(d: dict) -> PathExpr:
     if w.get("kind") == "germ":
         wm = tube_fibration(Germ.from_dict(w["germ"]))
     elif w.get("kind") == "named":
-        wm = {"rr_arm": rr_arm_workmap, "hopf": hopf_germ}[w["name"]]()
+        wm = NAMED_WORKMAPS[w["name"]]()
     else:
         wm = None
     return NumericLift(

@@ -23,6 +23,7 @@ from .geometry import (
     PathExpr,
     StereoSegment,
     normalize,
+    row_norms,
     tangent_even,
     tangent_odd,
 )
@@ -164,13 +165,29 @@ class SpherePlanner:
         return idx, region.build(t1, t2, self.delta)
 
     def plan_batch(self, starts: np.ndarray, goals: np.ndarray) -> list:
-        """Plan every row: (region index, path), or the Uncovered that refused it."""
+        """Plan every row: (region index, path), or the Uncovered that refused it.
+
+        The points are checked and normalized a block at a time, dispatch and
+        the paths are per row. A bad row raises what `plan` raises on it.
+        """
+        if len(starts) == len(goals) == 0:
+            return []
+        blocks = [np.asarray(b, dtype=float) for b in (starts, goals)]
+        if any(b.shape[1:] != (self.m + 1,) for b in blocks):
+            self.plan(blocks[0][0], blocks[1][0])  # no row has the right shape: row 0 raises
+        norms = [row_norms(b) for b in blocks]
+        ok = [np.abs(n - 1.0) <= QUERY_NORM_TOL for n in norms]  # NaN fails too
+        for i in np.flatnonzero(~(ok[0] & ok[1]))[:1]:
+            self.plan(blocks[0][i], blocks[1][i])  # raises the first bad row's error
+        t1s, t2s = (b / n[:, None] for b, n in zip(blocks, norms))
         results: list = []
-        for t1, t2 in zip(starts, goals, strict=True):
+        for t1, t2 in zip(t1s, t2s, strict=True):
             try:
-                results.append(self.plan(t1, t2))
+                idx = self.dispatch(t1, t2)
             except Uncovered as ex:
                 results.append(ex)
+                continue
+            results.append((idx, self.regions[idx - 1].build(t1, t2, self.delta)))
         return results
 
 

@@ -11,14 +11,14 @@ that must agree with the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import LiftFailure, Uncovered, WrongCodomain
 from .fibration import TaskingPlanner, WorkMap
-from .geometry import NORM_TOL, Scaled, normalize
+from .geometry import NORM_TOL, Scaled, normalize, row_norms
 from .milnor import Germ, tube_fibration
 from .sphere_planner import SpherePlanner
 
@@ -202,22 +202,7 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "planner": self.planner,
-            "queries": self.queries,
-            "regions": self.regions,
-            "seed": self.seed,
-            "knots": self.knots,
-            "deep_queries": self.deep_queries,
-            "coverage_failures": self.coverage_failures,
-            "dispatch_mismatches": self.dispatch_mismatches,
-            "max_endpoint_error": self.max_endpoint_error,
-            "max_projection_residual": self.max_projection_residual,
-            "max_surface_deviation": self.max_surface_deviation,
-            "lift_failures": self.lift_failures,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _planner_id(planner) -> str:
@@ -244,13 +229,7 @@ def _tasking_queries(planner: TaskingPlanner, rng, k: int):
 # Queries planned per `plan_batch` call; it bounds how many planned paths
 # the suite holds at once.
 SUITE_BLOCK = 256
-
-
-def _planned(planner, starts: np.ndarray, goals: np.ndarray):
-    """(query index, plan_batch result) for every query, block by block."""
-    for b0 in range(0, starts.shape[0], SUITE_BLOCK):
-        block = planner.plan_batch(starts[b0 : b0 + SUITE_BLOCK], goals[b0 : b0 + SUITE_BLOCK])
-        yield from enumerate(block, b0)
+ENDS = np.array([0.0, 1.0])  # a path's two endpoints as one sample grid
 
 
 def run_contract_suite(
@@ -297,44 +276,42 @@ def run_contract_suite(
     max_surface = 0.0
     any_deep = False
 
-    for i, planned in _planned(planner, starts, goals):
-        a, b = starts[i], goals[i]
-        if isinstance(planned, Uncovered):
-            report.coverage_failures += 1
-            report.failures.append({"index": i, "kind": "uncovered", "detail": str(planned)})
-            continue
-        if isinstance(planned, LiftFailure):
-            report.lift_failures.append(
-                {"index": i, "t_star": planned.t_star, "message": str(planned)}
-            )
-            continue
-        idx, path = planned
+    for b0 in range(0, n_queries, SUITE_BLOCK):
+        a, b = starts[b0 : b0 + SUITE_BLOCK], goals[b0 : b0 + SUITE_BLOCK]
+        block = planner.plan_batch(a, b)
+        # the block's (base) pairs serve the independent scan and the projection check
+        th1s, th2s = (normalize(a), normalize(b)) if is_sphere else planner.base_pairs(a, b)
+        ends = []  # (query, the place of its endpoint failure, path(0), path(1))
+        for i, planned in enumerate(block, b0):
+            if isinstance(planned, Uncovered):
+                report.coverage_failures += 1
+                report.failures.append({"index": i, "kind": "uncovered", "detail": str(planned)})
+                continue
+            if isinstance(planned, LiftFailure):
+                report.lift_failures.append(
+                    {"index": i, "t_star": planned.t_star, "message": str(planned)}
+                )
+                continue
+            idx, path = planned
+            th1, th2 = th1s[i - b0], th2s[i - b0]
 
-        # independent minimal-index scan over the (base) regions
-        pair = (normalize(a), normalize(b)) if is_sphere else planner.base_pair(a, b)
-        scan = next(
-            (r.index for r in planner.regions if r.member(pair[0], pair[1], planner.delta)),
-            None,
-        )
-        if scan != idx:
-            report.dispatch_mismatches += 1
-            report.failures.append(
-                {"index": i, "kind": "dispatch", "detail": f"planner {idx}, scan {scan}"}
+            # independent minimal-index scan over the (base) regions
+            scan = next(
+                (r.index for r in planner.regions if r.member(th1, th2, planner.delta)), None
             )
+            if scan != idx:
+                report.dispatch_mismatches += 1
+                report.failures.append(
+                    {"index": i, "kind": "dispatch", "detail": f"planner {idx}, scan {scan}"}
+                )
 
-        err = max(
-            float(np.linalg.norm(path.at(0.0) - a)),
-            float(np.linalg.norm(value(path.at(1.0)) - b)),
-        )
-        report.max_endpoint_error = max(report.max_endpoint_error, err)
-        if err > tol:
-            report.failures.append(
-                {"index": i, "kind": "endpoint", "detail": f"error {err:.3e}"}
-            )
-
-        if i < deep_count:
+            pts = path.sample(ts) if i < deep_count else None
+            # a dense grid of two or more knots starts at 0 and ends at 1
+            p01 = pts[[0, -1]] if pts is not None and knots > 1 else path.sample(ENDS)
+            ends.append((i, len(report.failures), *p01))
+            if pts is None:
+                continue
             any_deep = True
-            pts = path.sample(ts)
             if is_sphere:
                 dev = float(np.abs(np.linalg.norm(pts, axis=1) - 1.0).max())
                 max_surface = max(max_surface, dev)
@@ -345,7 +322,7 @@ def run_contract_suite(
             else:
                 vals = planner.workmap.f(pts)
                 region = planner.regions[idx - 1]
-                gamma = Scaled(region.build(pair[0], pair[1], planner.delta), planner.eta)
+                gamma = Scaled(region.build(th1, th2, planner.delta), planner.eta)
                 proj = float(np.linalg.norm(vals - gamma.sample(ts), axis=1).max())
                 dev = float(np.abs(np.linalg.norm(vals, axis=1) - planner.eta).max())
                 max_proj = max(max_proj, proj)
@@ -353,6 +330,20 @@ def run_contract_suite(
                 if proj > tol:
                     report.failures.append(
                         {"index": i, "kind": "projection", "detail": f"residual {proj:.3e}"}
+                    )
+
+        # the block's endpoint checks, with one value call; each failure goes in
+        # its row's place, the last row's first so that the earlier places hold
+        if ends:
+            qs, places, p0, p1 = zip(*ends)
+            err0 = row_norms(np.array(p0) - starts[list(qs)])
+            err1 = row_norms(value(np.array(p1)) - goals[list(qs)])
+            for i, place, e0, e1 in reversed(list(zip(qs, places, err0, err1))):
+                err = max(float(e0), float(e1))
+                report.max_endpoint_error = max(report.max_endpoint_error, err)
+                if err > tol:
+                    report.failures.insert(
+                        place, {"index": i, "kind": "endpoint", "detail": f"error {err:.3e}"}
                     )
 
     if any_deep:
@@ -403,7 +394,7 @@ def continuity_probe(
     # margin head-room: interior by delta/2 plus room for the perturbation
     need = 1.5 * base.delta + 4.0 * PROBE_SCALES[0]
 
-    queries = []
+    queries, pairs = [], []  # pairs: the base pairs of pullback queries
     attempts = 0
     while len(queries) < n_pairs:
         attempts += 1
@@ -418,16 +409,16 @@ def continuity_probe(
         else:
             e = planner.workmap.sample(rng, 1)[0]
             w = planner.eta * normalize(rng.standard_normal(planner.workmap.p))
-            th1, th2 = planner.base_pair(e, w)
+            (th1,), (th2,) = planner.base_pairs(e[None], w[None])
             if region.margin(th1, th2) < need:
                 continue
             queries.append((e, w, rng.integers(1 << 31)))
+            pairs.append((th1, th2))
 
     if not is_sphere:
         # the unperturbed lifts do not depend on the scale: lift them once
         wm = planner.workmap
         starts = np.array([e for e, _, _ in queries])
-        pairs = [planner.base_pair(e, w) for e, w, _ in queries]
         gammas = [Scaled(region.build(th1, th2, base.delta), planner.eta) for th1, th2 in pairs]
         ref = [lam.sample(ts) for lam in _lifted(planner.oracle.lift_batch(wm, starts, gammas))]
 

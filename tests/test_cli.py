@@ -311,3 +311,36 @@ def test_out_file(tmp_path, capsys, cube_file):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["components"] == 3
+
+
+_PLAN_COMMANDS = {
+    "plan-sphere": ["plan-sphere", "--dim", "2", "--start", "0,0,1", "--goal=0,0,-1"],
+    "plan-tube": ["plan-tube", "--germ", "germs/brieskorn_2_3.json", "--angle", "1.5708"],
+    "plan-arm": ["plan-arm", "--start", "0.3,0.4", "--goal", "0.6,0.0,0.8"],
+}
+
+
+def _plan_argv(command):
+    argv = list(_PLAN_COMMANDS[command])
+    if command == "plan-tube":
+        wm = tube_fibration(brieskorn_germ(2, 3))
+        start = wm.sample(np.random.default_rng(0), 1)[0]
+        argv.append("--start=" + ",".join(repr(float(v)) for v in start))
+    return argv
+
+
+@pytest.mark.parametrize("command", _PLAN_COMMANDS)
+def test_negative_sample_count_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([*_plan_argv(command), "--samples", "-3"])
+    assert err.value.code == 2
+    out, text = capsys.readouterr()
+    assert out == ""
+    assert text.splitlines()[-1].endswith("argument --samples: must be 0 or more, got -3")
+
+
+@pytest.mark.parametrize("command", _PLAN_COMMANDS)
+def test_zero_samples_prints_an_empty_sample_list(capsys, command):
+    code, out, _ = run_cli(capsys, *_plan_argv(command), "--samples", "0")
+    assert code == 0
+    assert json.loads(out)["samples"] == []

@@ -280,7 +280,7 @@ def test_exact_lift_projection_property(rng):
         e = wm.sample(rng, 1)[0]
         w = germ.eta * random_unit(rng, 2)
         idx, lam = planner.plan(e, w)
-        th1, th2 = planner.base_pair(e, w)
+        (th1,), (th2,) = planner.base_pairs(e[None], w[None])
         gamma = Scaled(planner.base.regions[idx - 1].build(th1, th2, planner.delta), germ.eta)
         resid = np.linalg.norm(wm.f(lam.sample(ts)) - gamma.sample(ts), axis=1).max()
         assert resid <= 1e-12, f"projection residual {resid:.3e}"

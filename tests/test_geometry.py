@@ -328,6 +328,19 @@ def test_json_round_trip_every_node_kind(kind):
     assert np.array_equal(path.sample(ts), again.sample(ts))
 
 
+@pytest.mark.parametrize("kind", NODE_KINDS)
+def test_nan_path_parameter_is_a_domain_error(kind):
+    # NaN fails every comparison: "t < 0 or t > 1" is false for it, so the
+    # range check must be one that NaN fails
+    path = _path_of_kind(kind)
+    with pytest.raises(DomainError):
+        path.at(float("nan"))
+    with pytest.raises(DomainError):
+        path.sample(np.array([0.0, np.nan, 1.0]))
+    with pytest.raises(DomainError):
+        path.sample(np.array([np.nan]))
+
+
 def test_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         path_from_dict({"kind": "wormhole"})
