@@ -85,7 +85,7 @@ def commands() -> list[tuple[str, list[str]]]:
         ("verify-sphere-4-deep", ["verify", "--sphere", "4", "--deep", "50"]),
         ("verify-two-factor", ["verify", "--germ", "germs/two_factor.json"]),
         ("verify-cube-deep", ["verify", "--germ", CUBE, "--deep", "20"]),
-        # exit 2 at parse time; before that check it planned, then crashed in linspace
+        # a negative count is a usage error (exit 2), rejected before any planning
         ("plan-sphere-negative-samples", ["plan-sphere", "--dim", "2", "--start", "0,0,1",
                                           "--goal=0,0,-1", "--samples", "-3"]),
     ]
