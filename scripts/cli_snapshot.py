@@ -43,6 +43,13 @@ def _tube_start() -> str:
     return ",".join(repr(float(v)) for v in wm.sample(np.random.default_rng(0), 1)[0])
 
 
+def _opposite_angle() -> str:
+    """The value angle opposite the README start's, which plan-tube reaches by the detour."""
+    wm = tube_fibration(load_germ(B23))
+    v = wm.f(wm.sample(np.random.default_rng(0), 1)[0])
+    return repr(float(np.arctan2(v[1], v[0]) + np.pi))
+
+
 def commands() -> list[tuple[str, list[str]]]:
     arm_goal = ["--start", "0.3,0.4", "--goal", "0.6,0.0,0.8"]
     return [
@@ -88,6 +95,20 @@ def commands() -> list[tuple[str, list[str]]]:
         # a negative count is a usage error (exit 2), rejected before any planning
         ("plan-sphere-negative-samples", ["plan-sphere", "--dim", "2", "--start", "0,0,1",
                                           "--goal=0,0,-1", "--samples", "-3"]),
+        # the block path shapes: a Concat of exact lifts, the odd detour, the chart region
+        ("plan-tube-detour", ["plan-tube", "--germ", B23, f"--start={_tube_start()}",
+                              f"--angle={_opposite_angle()}"]),
+        ("plan-sphere-s1-antipodal", ["plan-sphere", "--dim", "1", "--start", "1,0",
+                                      "--goal=-1,0"]),
+        ("plan-sphere-s4-chart", ["plan-sphere", "--dim", "4", "--start", "0,0,0,1,0",
+                                  "--goal", "0,1,0,0,0"]),
+        ("verify-two-factor-probe", ["verify", "--germ", "germs/two_factor.json",
+                                     "--probe-region", "2"]),
+        # bad numbers are usage errors (exit 2)
+        ("plan-tube-angle-nan", ["plan-tube", "--germ", B23, f"--start={_tube_start()}",
+                                 "--angle", "nan"]),
+        ("verify-probe-region-7", ["verify", "--sphere", "2", "--queries", "10",
+                                   "--probe-region", "7"]),
     ]
 
 

@@ -183,12 +183,16 @@ def _verify_planner(parser, args):
 
 def cmd_verify(parser, args) -> int:
     planner = _verify_planner(parser, args)
+    probe = args.probe_region
+    if probe is not None and not 1 <= probe <= len(planner.regions):
+        n = len(planner.regions)
+        parser.error(f"argument --probe-region: must lie in 1..{n} for this planner, got {probe}")
     report = run_contract_suite(
         planner, args.queries, seed=args.seed, knots=args.knots, deep=args.deep
     )
     out = report.to_dict()
-    if args.probe_region:
-        out["continuity"] = continuity_probe(planner, args.probe_region, seed=args.seed)
+    if probe is not None:
+        out["continuity"] = continuity_probe(planner, probe, seed=args.seed)
     _emit(args, out)
     return EXIT_OK if report.passed else EXIT_CONTRACT
 
@@ -267,11 +271,27 @@ def cmd_link(parser, args) -> int:
     return EXIT_OK
 
 
-def sample_count(text: str) -> int:
-    n = int(text)  # argparse reports a ValueError as "invalid sample_count value"
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
-    return n
+def _at_least(least: int, name: str):
+    """An argparse type: an int of at least `least` ("invalid <name> value" if no int)."""
+
+    def parse(text: str) -> int:
+        if (n := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"must be {least} or more, got {n}")
+        return n
+
+    parse.__name__ = name
+    return parse
+
+
+sample_count = _at_least(0, "sample_count")
+positive_int = _at_least(1, "positive_int")
+seed_count = _at_least(100, "seed_count")  # fewer leave a fiber too thin to cluster
+
+
+def finite_float(text: str) -> float:
+    if not math.isfinite(x := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {x}")
+    return x
 
 
 def _add_common(sp, *, seed: bool = False, margin: bool = False, path: bool = False) -> None:
@@ -293,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("plan-sphere", help="plan between two points on S^m")
-    sp.add_argument("--dim", type=int, required=True, help="sphere dimension m")
+    sp.add_argument("--dim", type=positive_int, required=True, help="sphere dimension m")
     sp.add_argument("--start", required=True, help="comma-separated unit vector")
     sp.add_argument("--goal", required=True, help="comma-separated unit vector")
     _add_common(sp, margin=True, path=True)
@@ -302,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("plan-tube", help="plan from a tube point to a value angle")
     sp.add_argument("--germ", required=True, help="germ JSON file")
     sp.add_argument("--start", required=True, help="comma-separated tube configuration")
-    sp.add_argument("--angle", type=float, required=True, help="goal value angle (radians)")
+    sp.add_argument("--angle", type=finite_float, required=True, help="goal value angle (radians)")
     _add_common(sp, margin=True, path=True)
     sp.set_defaults(func=cmd_plan_tube)
 
@@ -313,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_plan_arm)
 
     sp = sub.add_parser("verify", help="run the randomized contract suite")
-    sp.add_argument("--sphere", type=int, default=None, help="sphere dimension m")
+    sp.add_argument("--sphere", type=positive_int, default=None, help="sphere dimension m")
     sp.add_argument("--germ", default=None, help="germ JSON file")
     sp.add_argument("--hopf", action="store_true", help="check the quadratic sphere map")
     sp.add_argument("--rr-arm", action="store_true", help="check the two-joint arm map")
-    sp.add_argument("--queries", type=int, default=1000)
-    sp.add_argument("--knots", type=int, default=256)
+    sp.add_argument("--queries", type=sample_count, default=1000)
+    sp.add_argument("--knots", type=positive_int, default=256)
     sp.add_argument("--deep", type=int, default=None, help="dense-check only this many queries")
     sp.add_argument("--probe-region", type=int, default=None, help="attach a continuity probe")
     _add_common(sp, seed=True, margin=True)
@@ -326,15 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fiber", help="sample one fiber and count components")
     sp.add_argument("--germ", required=True)
-    sp.add_argument("--angle", type=float, default=0.0)
-    sp.add_argument("--seeds", type=int, default=1500)
+    sp.add_argument("--angle", type=finite_float, default=0.0)
+    sp.add_argument("--seeds", type=seed_count, default=1500)
     _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_fiber)
 
     sp = sub.add_parser("monodromy", help="full-circle component permutation")
     sp.add_argument("--germ", required=True)
-    sp.add_argument("--angle", type=float, default=0.0)
-    sp.add_argument("--seeds", type=int, default=1500)
+    sp.add_argument("--angle", type=finite_float, default=0.0)
+    sp.add_argument("--seeds", type=seed_count, default=1500)
     _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_monodromy)
 
@@ -344,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--quantity", choices=("tc", "sec"), default="tc")
     # read only by --quantity sec on a germ, which samples the fiber; None
     # marks a flag left unset, so that the other modes can reject it
-    sp.add_argument("--seeds", type=int, default=None, help="fiber seeds (default 1500)")
+    sp.add_argument("--seeds", type=seed_count, default=None, help="fiber seeds (default 1500)")
     sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     _add_common(sp)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("link", help="sample the zero set on the epsilon sphere")
     sp.add_argument("--germ", required=True)
-    sp.add_argument("--seeds", type=int, default=1000)
+    sp.add_argument("--seeds", type=seed_count, default=1000)
     _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_link)
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import LiftFailure, Uncovered
+from .errors import LiftFailure
 from .geometry import (
     LIFT_NEWTON_ITERS,
     LIFT_NEWTON_TOL,
@@ -33,7 +33,7 @@ from .geometry import (
     normalize,
     row_norms,
 )
-from .sphere_planner import DEFAULT_MARGIN, SpherePlanner, build_planner
+from .sphere_planner import DEFAULT_MARGIN, Planned, SpherePlanner, build_planner
 
 # Choice: 10x the per-kind lift tolerance is how far a start configuration
 # may sit off the base point before lifting refuses the query.
@@ -92,19 +92,23 @@ class ExactCircleOracle:
     kind = "exact"
 
     def lift(self, wm: WorkMap, e: np.ndarray, path: PathExpr) -> PathExpr:
-        (lam,) = self.lift_batch(wm, [e], [path])
-        return lam
-
-    def lift_batch(self, wm: WorkMap, starts: np.ndarray, paths: list) -> list:
-        """`lift` on every row: one gap check over the block, then each closed-form lift."""
+        """Lift path from e: one start and a one-row path, or a (k, n) block of
+        starts and a block path, which gives a block lift."""
         if wm.germ is None or wm.p != 2:
             raise ValueError("exact lifting needs a plane-valued germ work map")
-        starts = np.asarray(starts, dtype=float)
-        gaps = row_norms(wm.f(starts) - np.array([path.at(0.0) for path in paths]))
+        e = np.asarray(e, dtype=float)
+        gaps = np.atleast_1d(row_norms(wm.f(e) - path.at(0.0)))
         off = gaps > 10.0 * self.lift_tol
         if off.any():
             raise ValueError(f"start sits {gaps[off][0]:.3e} off the base point")
-        return [self._lift(wm.germ, e, path) for e, path in zip(starts, paths, strict=True)]
+        return self._lift(wm.germ, e, path)
+
+    def lift_batch(self, wm: WorkMap, starts: np.ndarray, planned: Planned) -> Planned:
+        """`lift` on each block of base paths; the first block with a start off
+        its base point raises."""
+        starts = np.asarray(starts, dtype=float)
+        lifts = [(i, rows, self.lift(wm, starts[rows], path)) for i, rows, path in planned.blocks]
+        return Planned(planned.size, lifts, planned.refused)
 
     def _lift(self, germ, x0: np.ndarray, path: PathExpr) -> PathExpr:
         if isinstance(path, Scaled):
@@ -153,57 +157,65 @@ class NumericOracle:
     kind = "numeric"
 
     def lift(self, wm: WorkMap, e: np.ndarray, path: PathExpr) -> PathExpr:
-        (lam,) = self.lift_batch(wm, [e], [path])
+        one = Planned(1, [(0, np.zeros(1, dtype=int), path.row(None))], {})
+        (lam,) = self.lift_batch(wm, np.asarray(e, dtype=float)[None], one)
         if isinstance(lam, LiftFailure):
             raise lam
-        return lam
+        return lam[1]
 
-    def lift_batch(self, wm: WorkMap, starts: np.ndarray, paths: list) -> list:
-        """Lift paths[i] from starts[i] for every row, tracking all rows in lockstep.
+    def lift_batch(self, wm: WorkMap, starts: np.ndarray, planned: Planned) -> Planned:
+        """Lift every planned row from its start, tracking all rows in lockstep.
 
-        Returns one NumericLift, or the LiftFailure that ended the row,
-        per row. Each knot takes one predictor step and one corrector
-        call over the whole block of live rows; a row whose corrector
-        fails is halved on its own and either rejoins the block or fails.
+        Each row's lift is a one-row NumericLift, or the LiftFailure that
+        ended it joins the refusals. The base blocks are sampled once at the
+        knots. Each knot takes one predictor step and one corrector call over
+        the whole batch of live rows; a row whose corrector fails is halved on
+        its own and either rejoins the batch or fails.
         """
+        if not planned.blocks:
+            return planned
         starts = np.asarray(starts, dtype=float)
-        out: list = [None] * len(paths)
-        for i, (e, path) in enumerate(zip(starts, paths, strict=True)):
-            gap = float(np.linalg.norm(wm.f(e) - path.at(0.0)))
-            if gap > 10.0 * self.lift_tol:
-                raise ValueError(f"start sits {gap:.3e} off the base point")
-            if wm.singular_values is not None:
-                d = float(np.min(np.linalg.norm(wm.singular_values - path.at(1.0), axis=1)))
-                if d < self.singular_margin:
-                    out[i] = LiftFailure(
-                        1.0,
-                        f"goal lies {d:.3e} from a rank-drop value of {wm.name!r}; "
-                        f"tracking is refused inside margin {self.singular_margin:.0e}",
-                    )
-        rows = np.array([i for i, o in enumerate(out) if o is None], dtype=int)
-        if rows.size == 0:
-            return out
+        refused = dict(planned.refused)
         ts = np.linspace(0.0, 1.0, self.n_knots)
+        rows, gammas = planned.sample(ts)  # (rows, knots, p); knot 0 is t = 0, the last t = 1
+        paths = [(idx, path.row(j)) for idx, r, path in planned.blocks for j in range(r.size)]
+        gaps = row_norms(wm.f(starts[rows]) - gammas[:, 0])
+        off = gaps > 10.0 * self.lift_tol
+        if off.any():
+            raise ValueError(f"start sits {gaps[off][0]:.3e} off the base point")
+        if wm.singular_values is not None:
+            d = np.linalg.norm(wm.singular_values - gammas[:, -1, None], axis=-1).min(axis=1)
+            near = d < self.singular_margin
+            for i, di in zip(rows[near].tolist(), d[near]):
+                refused[i] = LiftFailure(
+                    1.0,
+                    f"goal lies {di:.3e} from a rank-drop value of {wm.name!r}; "
+                    f"tracking is refused inside margin {self.singular_margin:.0e}",
+                )
+            keep = np.flatnonzero(~near)
+            rows, gammas, paths = rows[keep], gammas[keep], [paths[c] for c in keep]
+        if rows.size == 0:
+            return Planned(planned.size, [], refused)
         # knot-major tables, so that each knot's block of rows is contiguous
-        gammas = np.stack([paths[i].sample(ts) for i in rows], axis=1)  # (knots, rows, p)
+        gammas = np.ascontiguousarray(gammas.transpose(1, 0, 2))  # (knots, rows, p)
         steps = np.diff(gammas, axis=0)
         table = np.empty((self.n_knots, rows.size, starts.shape[1]), dtype=float)
         table[0] = x = starts[rows]
         live = np.arange(rows.size)  # columns of the tables still tracked
-        spent = {i: [0] for i in rows}  # halving sub-steps per row
+        spent = [[0] for _ in paths]  # halving sub-steps per row
         for k in range(self.n_knots - 1):
             xnew, ok = self._advance(wm, x, steps[k], gammas[k + 1])
             if np.count_nonzero(ok) < ok.size:
                 keep = np.ones(live.size, dtype=bool)
                 for j in np.flatnonzero(~ok):
-                    i = rows[live[j]]
+                    c = live[j]
                     try:
                         xnew[j] = self._halve(
-                            wm, paths[i], x[j : j + 1], ts[k], ts[k + 1],
-                            gammas[k, j : j + 1], gammas[k + 1, j : j + 1], 0, spent[i],
+                            wm, paths[c][1], x[j : j + 1], ts[k], ts[k + 1],
+                            gammas[k, j : j + 1], gammas[k + 1, j : j + 1], 0, spent[c],
                         )[0]
                     except LiftFailure as ex:
-                        out[i] = ex
+                        refused[int(rows[c])] = ex
                         keep[j] = False
                 xnew, live = xnew[keep], live[keep]
                 gammas, steps = gammas[:, keep], steps[:, keep]
@@ -211,10 +223,12 @@ class NumericOracle:
                 table[k + 1] = x = xnew
             else:
                 table[k + 1, live] = x = xnew
-        for j, i in enumerate(rows):
-            if out[i] is None:
-                out[i] = NumericLift(ts, np.ascontiguousarray(table[:, j]), wm, paths[i])
-        return out
+        blocks = [
+            (idx, rows[c : c + 1], NumericLift(ts, np.ascontiguousarray(table[:, c]), wm, path))
+            for c, (idx, path) in enumerate(paths)
+            if int(rows[c]) not in refused
+        ]
+        return Planned(planned.size, blocks, refused)
 
     def _advance(self, wm, x, step, target) -> tuple[np.ndarray, np.ndarray]:
         # tangent predictor along the base step, then the corrector onto the target
@@ -294,39 +308,27 @@ class TaskingPlanner:
         return normalize(fe), normalize(goals)
 
     def plan(self, e: np.ndarray, w: np.ndarray) -> tuple[int, PathExpr]:
-        """Return (region index, lifted path from e onto the fiber of w)."""
+        """Return (region index, lifted path from e onto the fiber of w), one
+        row as `plan_batch` plans it, with no block built."""
         e, w = np.asarray(e, dtype=float), np.asarray(w, dtype=float)
-        (result,) = self.plan_batch(e[None], w[None])
-        if isinstance(result, Exception):
-            raise result
-        return result
+        (th1,), (th2,) = self.base_pairs(e[None], w[None])
+        idx = self.base.dispatch(th1, th2)
+        gamma = Scaled(self.base.regions[idx - 1].build(th1, th2, self.delta), self.eta)
+        return idx, self.oracle.lift(self.workmap, e, gamma)
 
-    def plan_batch(self, starts: np.ndarray, goals: np.ndarray) -> list:
-        """Plan every row: (region index, lifted path), or the Uncovered or
-        LiftFailure that refused it.
+    def plan_batch(self, starts: np.ndarray, goals: np.ndarray) -> Planned:
+        """Plan every row (see `Planned`); Uncovered or LiftFailure refuses a row.
 
-        The block's base pairs come from one `base_pairs` call, dispatch and the
-        base paths are per query, and all lifts go to the oracle in one call.
+        The block's base pairs come from one `base_pairs` call, the base planner
+        plans them a region block at a time, and the oracle lifts every block
+        in one call.
         """
         if len(starts) == len(goals) == 0:
-            return []
+            return Planned(0, [], {})
         starts = np.asarray(starts, dtype=float)
-        results: list = [None] * len(starts)
-        todo, gammas = [], []
-        for i, (th1, th2) in enumerate(zip(*self.base_pairs(starts, goals), strict=True)):
-            try:
-                idx = self.base.dispatch(th1, th2)
-            except Uncovered as ex:
-                results[i] = ex
-                continue
-            region = self.base.regions[idx - 1]
-            todo.append((i, idx))
-            gammas.append(Scaled(region.build(th1, th2, self.base.delta), self.eta))
-        if todo:
-            lifts = self.oracle.lift_batch(self.workmap, starts[[i for i, _ in todo]], gammas)
-            for (i, idx), lam in zip(todo, lifts):
-                results[i] = lam if isinstance(lam, LiftFailure) else (idx, lam)
-        return results
+        base = self.base.plan_units(*self.base_pairs(starts, goals))
+        scaled = [(idx, rows, Scaled(path, self.eta)) for idx, rows, path in base.blocks]
+        return self.oracle.lift_batch(self.workmap, starts, Planned(base.size, scaled, base.refused))
 
 
 def pullback_planner(

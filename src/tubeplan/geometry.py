@@ -6,7 +6,8 @@ interleaving, z_j = x[2j] + i*x[2j+1]; every module uses this layout.
 Paths are closed expression trees evaluated lazily on [0, 1]. Nodes are
 small dataclasses; evaluation has a scalar form (`at`) and a vectorized
 form (`sample`) because the verification suites evaluate dense knot
-grids per query.
+grids per query. A block path is one tree for k paths of one shape: its
+leaves carry a leading row axis, and `row(i)` gives row i's own tree.
 
 The package's one Gauss-Newton step lives here too: the numeric lift
 node below and the lifts and fiber samplers above all project onto
@@ -25,14 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-try:  # the C einsum behind np.einsum, without its Python dispatch layers
-    from numpy._core.multiarray import c_einsum
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum
-try:  # rowwise dot products through the same dot kernel as a 1-D np.linalg.norm
-    from numpy import vecdot as _vecdot
-except ImportError:  # numpy < 2: matmul of 1 x d by d x 1 takes the same dot
-    _vecdot = lambda x, y: (x[:, None, :] @ y[:, :, None])[:, 0, 0]  # noqa: E731
+from numpy._core.multiarray import c_einsum  # np.einsum without its Python layers
 
 from .errors import AtPole, DomainError, EvenAmbientDim, LiftFailure, OddAmbientDim, ZeroVector
 
@@ -61,8 +55,9 @@ def normalize(v: np.ndarray) -> np.ndarray:
 
 def row_norms(x: np.ndarray) -> np.ndarray:
     """||x_i|| of every row of a (k, d) block, bit for bit the 1-D np.linalg.norm of
-    the row (a dot product); np.linalg.norm(x, axis=-1) is an ulp off on some rows."""
-    return np.sqrt(_vecdot(x, x))
+    the row (a dot product); np.linalg.norm(x, axis=-1) is an ulp off on some rows.
+    A 1-D x gives its own norm."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 def stereo_proj(x: np.ndarray) -> np.ndarray:
@@ -124,14 +119,19 @@ def tangent_even(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_min_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact minimum of ||(1-t)a + t b|| over t in [0, 1] (closed form)."""
+def _chord_near_origin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether min over t in [0, 1] of ||(1-t)a + t b|| is at most ZERO_TOL, per row:
+    the closed-form minimizer t of ||a + t (b - a)||^2, clipped to [0, 1]."""
     d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        return float(np.linalg.norm(a))
-    t = min(1.0, max(0.0, -float(a @ d) / dd))
-    return float(np.linalg.norm((1.0 - t) * a + t * b))
+    dd, ad = np.vecdot(d, d), np.vecdot(a, d)
+    t = np.minimum(1.0, np.maximum(0.0, -ad / (dd + (dd == 0.0))))  # t = 0 where a = b
+    return np.vecdot(a, a) + t * (2.0 * ad + t * dd) <= _squared_bound(ZERO_TOL)
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """(1-t)a + t b for every t of ts, over the leading axes of a and b: (..., T, d).
+    Each product is the one np.outer(1 - ts, a) and np.outer(ts, b) form."""
+    return (1.0 - ts)[:, None] * a[..., None, :] + ts[:, None] * b[..., None, :]
 
 
 def gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,9 +230,16 @@ def newton_project(
 
 
 class PathExpr:
-    """A path [0, 1] -> R^k. Subclasses implement _eval, _eval_batch and to_dict."""
+    """A path [0, 1] -> R^d, or a block of k paths that share one tree shape.
 
-    dim: int
+    A block's leaves carry a leading row axis: its shape is (k, d) where a
+    one-row path's is (d,), `at` gives (k, d) and `sample` (k, T, d). The
+    nodes check every row of a block in one pass when they are made.
+    Subclasses implement shape, _eval, _eval_batch and to_dict, and list in
+    _rowwise the attributes that carry the row axis.
+    """
+
+    _rowwise: tuple = ()
 
     def at(self, t: float) -> np.ndarray:
         t = float(t)
@@ -246,26 +253,49 @@ class PathExpr:
             raise DomainError("sample grid leaves [0, 1] or holds NaN")
         return self._eval_batch(np.clip(ts, 0.0, 1.0))
 
+    def row(self, i) -> "PathExpr":
+        """Row i of a block as its own one-row path; an index array or a slice
+        gives a smaller block, and None a one-row path as a block of one row.
+        The rows were checked when the block was made: no check runs again."""
+        out = object.__new__(type(self))
+        for name, v in vars(self).items():
+            if isinstance(v, PathExpr):
+                v = v.row(i)
+            elif name in self._rowwise:
+                v = v[i]
+            object.__setattr__(out, name, v)
+        return out
+
 
 @dataclass(frozen=True)
 class Constant(PathExpr):
     point: np.ndarray
 
+    _rowwise = ("point",)
+
     def __post_init__(self):
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
 
     @property
-    def dim(self) -> int:
-        return self.point.shape[-1]
+    def shape(self) -> tuple:
+        return self.point.shape
 
     def _eval(self, t: float) -> np.ndarray:
         return self.point.copy()
 
     def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.point, (ts.shape[0], self.point.shape[0])).copy()
+        return np.repeat(self.point[..., None, :], ts.shape[0], axis=-2)
 
     def to_dict(self) -> dict:
         return {"kind": "constant", "point": self.point.tolist()}
+
+
+def _endpoints(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim not in (1, 2):
+        raise ValueError("segment endpoints must be 1-d arrays (or (k, d) blocks) of equal shape")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -279,28 +309,27 @@ class NormalizedSegment(PathExpr):
     a: np.ndarray
     b: np.ndarray
 
+    _rowwise = ("a", "b")
+
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("segment endpoints must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        a, b = _endpoints(self.a, self.b)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("segment endpoints must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if _segment_min_norm(a, b) <= ZERO_TOL:
+        if np.count_nonzero(_chord_near_origin(a, b)):
             raise ZeroVector("chord passes through the origin; no normalized segment")
 
     @property
-    def dim(self) -> int:
-        return self.a.shape[0]
+    def shape(self) -> tuple:
+        return self.a.shape
 
     def _eval(self, t: float) -> np.ndarray:
         return normalize((1.0 - t) * self.a + t * self.b)
 
     def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
-        pts = np.outer(1.0 - ts, self.a) + np.outer(ts, self.b)
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        pts = _lerp(self.a, self.b, ts)
+        return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
     def to_dict(self) -> dict:
         return {"kind": "normalized_segment", "a": self.a.tolist(), "b": self.b.tolist()}
@@ -317,29 +346,26 @@ class StereoSegment(PathExpr):
     a: np.ndarray
     b: np.ndarray
 
+    _rowwise = ("a", "b", "_ya", "_yb")
+
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("segment endpoints must be 1-d arrays of equal length")
-        for p in (a, b):
-            if p[-1] >= 1.0 - POLE_MARGIN:
-                raise AtPole("chart segment endpoint sits at the north pole")
+        a, b = _endpoints(self.a, self.b)
+        if np.count_nonzero((a.T[-1] >= 1.0 - POLE_MARGIN) | (b.T[-1] >= 1.0 - POLE_MARGIN)):
+            raise AtPole("chart segment endpoint sits at the north pole")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_ya", stereo_proj(a))
         object.__setattr__(self, "_yb", stereo_proj(b))
 
     @property
-    def dim(self) -> int:
-        return self.a.shape[0]
+    def shape(self) -> tuple:
+        return self.a.shape
 
     def _eval(self, t: float) -> np.ndarray:
         return stereo_inv((1.0 - t) * self._ya + t * self._yb)
 
     def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
-        ys = np.outer(1.0 - ts, self._ya) + np.outer(ts, self._yb)
-        return stereo_inv(ys)
+        return stereo_inv(_lerp(self._ya, self._yb, ts))
 
     def to_dict(self) -> dict:
         return {"kind": "stereo_segment", "a": self.a.tolist(), "b": self.b.tolist()}
@@ -353,13 +379,15 @@ class Concat(PathExpr):
     right: PathExpr
 
     def __post_init__(self):
-        gap = float(np.linalg.norm(self.left.at(1.0) - self.right.at(0.0)))
-        if gap > JUNCTION_TOL:
-            raise ValueError(f"concatenation junction gap {gap:.3e} exceeds {JUNCTION_TOL:.0e}")
+        gap = row_norms(self.left.at(1.0) - self.right.at(0.0))
+        if np.count_nonzero(gap > JUNCTION_TOL):
+            raise ValueError(
+                f"concatenation junction gap {gap.max():.3e} exceeds {JUNCTION_TOL:.0e}"
+            )
 
     @property
-    def dim(self) -> int:
-        return self.left.dim
+    def shape(self) -> tuple:
+        return self.left.shape
 
     def _eval(self, t: float) -> np.ndarray:
         if t <= 0.5:
@@ -367,12 +395,12 @@ class Concat(PathExpr):
         return self.right.at(2.0 * t - 1.0)
 
     def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
-        out = np.empty((ts.shape[0], self.dim), dtype=float)
+        out = np.empty(self.shape[:-1] + ts.shape + self.shape[-1:], dtype=float)
         lo = ts <= 0.5
-        if np.any(lo):
-            out[lo] = self.left.sample(2.0 * ts[lo])
-        if np.any(~lo):
-            out[~lo] = self.right.sample(2.0 * ts[~lo] - 1.0)
+        if lo.any():
+            out[..., lo, :] = self.left.sample(2.0 * ts[lo])
+        if not lo.all():
+            out[..., ~lo, :] = self.right.sample(2.0 * ts[~lo] - 1.0)
         return out
 
     def to_dict(self) -> dict:
@@ -387,8 +415,8 @@ class Scaled(PathExpr):
     factor: float
 
     @property
-    def dim(self) -> int:
-        return self.path.dim
+    def shape(self) -> tuple:
+        return self.path.shape
 
     def _eval(self, t: float) -> np.ndarray:
         return self.factor * self.path.at(t)
@@ -430,6 +458,8 @@ class CircleActionLift(PathExpr):
     dphi: Optional[float] = None
     base: Optional[PathExpr] = None
 
+    _rowwise = ("start", "_z0", "_w0")
+
     def __post_init__(self):
         if (self.dphi is None) == (self.base is None):
             raise ValueError("exactly one of dphi / base must be given")
@@ -438,30 +468,31 @@ class CircleActionLift(PathExpr):
         object.__setattr__(self, "_w", np.asarray(self.germ.weights, dtype=float))
         if self.base is not None:
             w0 = self.base.at(0.0)
-            if w0.shape != (2,):
+            if w0.shape != self.start.shape[:-1] + (2,):
                 raise ValueError("circle-action lifting needs a plane-valued base path")
             object.__setattr__(self, "_w0", w0)
 
     @property
-    def dim(self) -> int:
-        return self.start.shape[0]
+    def shape(self) -> tuple:
+        return self.start.shape
 
     def _angles(self, ts: np.ndarray) -> np.ndarray:
         if self.dphi is not None:
             return self.dphi * ts / float(self.germ.degree)
-        w0 = self._w0
+        w0 = self._w0[..., None, :]
         wt = self.base.sample(ts)
         # relative plane angle in (-pi, pi]; exact for sub-half-turn pieces
-        dot = wt[:, 0] * w0[0] + wt[:, 1] * w0[1]
-        crs = wt[:, 1] * w0[0] - wt[:, 0] * w0[1]
+        dot = wt[..., 0] * w0[..., 0] + wt[..., 1] * w0[..., 1]
+        crs = wt[..., 1] * w0[..., 0] - wt[..., 0] * w0[..., 1]
         return np.arctan2(crs, dot) / float(self.germ.degree)
 
     def _eval(self, t: float) -> np.ndarray:
-        return self._eval_batch(np.array([t]))[0]
+        return self._eval_batch(np.array([t]))[..., 0, :]
 
     def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
         theta = self._angles(ts)
-        z = self._z0[None, :] * np.exp(1j * np.outer(theta, self._w))
+        # theta[..., None] * w holds the products np.outer(theta, w) forms
+        z = self._z0[..., None, :] * np.exp(1j * (theta[..., None] * self._w))
         return _complex_to_interleaved(z)
 
     def to_dict(self) -> dict:
@@ -497,8 +528,8 @@ class NumericLift(PathExpr):
             raise ValueError("knot vector and point table sizes disagree")
 
     @property
-    def dim(self) -> int:
-        return self.points.shape[1]
+    def shape(self) -> tuple:
+        return self.points.shape[1:]
 
     def _eval(self, t: float) -> np.ndarray:
         return self._eval_batch(np.array([t]))[0]

@@ -6,7 +6,10 @@ planners double as upper-bound witnesses for the navigation complexity
 of the sphere. Region membership is expressed through a margin
 function, and a query belongs to a region when its margin clears the
 planner's tolerance delta. Dispatch always picks the lowest-index
-matching region, which keeps outputs reproducible.
+matching region, which keeps outputs reproducible. The region builders
+take one pair of unit vectors, or a block of pairs as the rows of
+(k, m+1) arrays, which gives a block path; any row outside the region
+raises.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ def segment_planner(t1: np.ndarray, t2: np.ndarray, delta: float = DEFAULT_MARGI
 
     Needs the pair to be non-antipodal: ||t1 + t2|| >= delta.
     """
-    if float(np.linalg.norm(t1 + t2)) < delta:
+    if np.count_nonzero(_margin_sum(t1, t2) < delta):
         raise AntipodalPair("segment planner undefined on near-antipodal pairs")
     return NormalizedSegment(t1, t2)
 
@@ -60,7 +63,7 @@ def detour_planner_odd(t1: np.ndarray, t2: np.ndarray, delta: float = DEFAULT_MA
     Needs t1 != t2 (within delta); covers exactly the pairs the segment
     planner misses.
     """
-    if float(np.linalg.norm(t1 - t2)) < delta:
+    if np.count_nonzero(_margin_diff(t1, t2) < delta):
         raise EqualPair("detour planner undefined on near-equal pairs")
     first = NormalizedSegment(t1, -t2)
     return Concat(first, _pivot_swing(-t2, t2, tangent_odd))
@@ -72,7 +75,7 @@ def chart_planner(t1: np.ndarray, t2: np.ndarray, delta: float = DEFAULT_MARGIN)
     Needs both points at least delta below the north pole (in the last
     coordinate).
     """
-    if t1[-1] > 1.0 - delta or t2[-1] > 1.0 - delta:
+    if np.count_nonzero((t1.T[-1] > 1.0 - delta) | (t2.T[-1] > 1.0 - delta)):
         raise AtPole("chart planner undefined near the north pole")
     return StereoSegment(t1, t2)
 
@@ -82,11 +85,9 @@ def detour_planner_even(t1: np.ndarray, t2: np.ndarray, delta: float = DEFAULT_M
 
     Needs t1 != t2 and t2 away from both zeros +-e1 of the field.
     """
-    if float(np.linalg.norm(t1 - t2)) < delta:
+    if np.count_nonzero(_margin_diff(t1, t2) < delta):
         raise EqualPair("detour planner undefined on near-equal pairs")
-    e1 = np.zeros_like(t2)
-    e1[0] = 1.0
-    if min(float(np.linalg.norm(t2 - e1)), float(np.linalg.norm(t2 + e1))) < delta:
+    if np.count_nonzero(_margin_detour_even(t1, t2) < delta):  # so t2 lies near +-e1
         raise PoleOfField("detour pivot field vanishes at +-e1")
     first = NormalizedSegment(t1, -t2)
     return Concat(first, _pivot_swing(-t2, t2, tangent_even))
@@ -98,35 +99,64 @@ class Region:
 
     index: int
     name: str
-    margin: Callable[[np.ndarray, np.ndarray], float]
+    # the margin of one pair, or the (k,) margins of a block of pairs; a
+    # block's margins equal its rows' margins bit for bit (`row_norms`)
+    margin: Callable[[np.ndarray, np.ndarray], np.ndarray]
     build: Callable[[np.ndarray, np.ndarray, float], PathExpr]
 
     def member(self, t1: np.ndarray, t2: np.ndarray, delta: float) -> bool:
-        return self.margin(t1, t2) >= delta
+        return bool(self.margin(t1, t2) >= delta)
 
 
 def _margin_sum(t1, t2):
-    return float(np.linalg.norm(t1 + t2))
+    return row_norms(t1 + t2)
 
 
 def _margin_diff(t1, t2):
-    return float(np.linalg.norm(t1 - t2))
+    return row_norms(t1 - t2)
 
 
 def _margin_off_pole(t1, t2):
-    return float(min(1.0 - t1[-1], 1.0 - t2[-1]))
+    return 1.0 - np.maximum(t1.T[-1], t2.T[-1])  # .T[-1]: the last coordinates
 
 
 def _margin_detour_even(t1, t2):
-    e1 = np.zeros_like(t2)
-    e1[0] = 1.0
-    return float(
-        min(
-            np.linalg.norm(t1 - t2),
-            np.linalg.norm(t2 - e1),
-            np.linalg.norm(t2 + e1),
-        )
-    )
+    e1 = np.eye(t2.shape[-1])[0]  # the skew field vanishes at +-e1
+    return np.minimum(_margin_diff(t1, t2), np.minimum(row_norms(t2 - e1), row_norms(t2 + e1)))
+
+
+class Planned:
+    """What `plan_batch` made of a batch of queries, one region block at a time.
+
+    blocks holds (region index, rows, path) per block: rows are positions in
+    the batch, ascending, and row j of the block path belongs to rows[j] (a
+    numeric lift is a block of one row with a one-row path). refused maps
+    the other positions to their Uncovered or LiftFailure. Position i reads
+    (and iterates) as `plan` returns it: (region index, path), the path made
+    by `row` only then, or the refusal.
+    """
+
+    def __init__(self, size: int, blocks: list, refused: dict):
+        self.size, self.blocks, self.refused = size, blocks, refused
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int):
+        if i in self.refused:
+            return self.refused[i]
+        for idx, rows, path in self.blocks:
+            j = int(np.searchsorted(rows, i))
+            if j < rows.size and rows[j] == i:
+                return idx, path if len(path.shape) == 1 else path.row(j)
+        raise IndexError(i)
+
+    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The planned positions, block by block, and their paths sampled at
+        ts: (K,) and (K, T, d), from one `sample` call per block."""
+        rows = np.concatenate([rows for _, rows, _ in self.blocks])
+        pts = [path.sample(ts).reshape(r.size, len(ts), -1) for _, r, path in self.blocks]
+        return rows, np.concatenate(pts)
 
 
 @dataclass(frozen=True)
@@ -141,9 +171,9 @@ class SpherePlanner:
         t = np.asarray(t, dtype=float)
         if t.shape != (self.m + 1,):
             raise ValueError(f"expected a point in R^{self.m + 1}, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValueError("query point has non-finite coordinates")
-        n = float(np.linalg.norm(t))
+        n = float(row_norms(t))
         if abs(n - 1.0) > QUERY_NORM_TOL:
             raise ValueError(f"query point norm {n:.9f} too far from 1")
         return t / n
@@ -153,8 +183,15 @@ class SpherePlanner:
         for r in self.regions:
             if r.member(t1, t2, self.delta):
                 return r.index
-        margins = {r.name: r.margin(t1, t2) for r in self.regions}
-        raise Uncovered(f"no region accepts the query; margins {margins}")
+        raise self._uncovered([r.margin(t1, t2) for r in self.regions])
+
+    def _uncovered(self, margins) -> Uncovered:
+        named = {r.name: float(m) for r, m in zip(self.regions, margins)}
+        return Uncovered(f"no region accepts the query; margins {named}")
+
+    def margins(self, t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
+        """(k, R): the margin of every region on every row of a block of unit pairs."""
+        return np.stack([r.margin(t1s, t2s) for r in self.regions], axis=1)
 
     def plan(self, t1: np.ndarray, t2: np.ndarray) -> tuple[int, PathExpr]:
         """Return (region index, path from t1 to t2)."""
@@ -164,14 +201,14 @@ class SpherePlanner:
         region = self.regions[idx - 1]
         return idx, region.build(t1, t2, self.delta)
 
-    def plan_batch(self, starts: np.ndarray, goals: np.ndarray) -> list:
-        """Plan every row: (region index, path), or the Uncovered that refused it.
+    def plan_batch(self, starts: np.ndarray, goals: np.ndarray) -> Planned:
+        """Plan every row (see `Planned`); Uncovered refuses a row.
 
-        The points are checked and normalized a block at a time, dispatch and
-        the paths are per row. A bad row raises what `plan` raises on it.
+        The points are checked and normalized a block at a time, then go to
+        `plan_units`. A bad row raises what `plan` raises on it.
         """
         if len(starts) == len(goals) == 0:
-            return []
+            return Planned(0, [], {})
         blocks = [np.asarray(b, dtype=float) for b in (starts, goals)]
         if any(b.shape[1:] != (self.m + 1,) for b in blocks):
             self.plan(blocks[0][0], blocks[1][0])  # no row has the right shape: row 0 raises
@@ -180,15 +217,19 @@ class SpherePlanner:
         for i in np.flatnonzero(~(ok[0] & ok[1]))[:1]:
             self.plan(blocks[0][i], blocks[1][i])  # raises the first bad row's error
         t1s, t2s = (b / n[:, None] for b, n in zip(blocks, norms))
-        results: list = []
-        for t1, t2 in zip(t1s, t2s, strict=True):
-            try:
-                idx = self.dispatch(t1, t2)
-            except Uncovered as ex:
-                results.append(ex)
-                continue
-            results.append((idx, self.regions[idx - 1].build(t1, t2, self.delta)))
-        return results
+        return self.plan_units(t1s, t2s)
+
+    def plan_units(self, t1s: np.ndarray, t2s: np.ndarray) -> Planned:
+        """Plan a block of unit pairs: every row goes to the lowest region whose
+        margin clears delta, as `dispatch` sends it, and each region builds
+        its rows as one block path."""
+        margins = self.margins(t1s, t2s)
+        ok = margins >= self.delta
+        pick = np.where(ok.any(axis=1), ok.argmax(axis=1) + 1, 0)  # the region index, or 0
+        blocks = [(r.index, rows, r.build(t1s[rows], t2s[rows], self.delta))
+                  for r in self.regions if (rows := np.flatnonzero(pick == r.index)).size]
+        refused = {i: self._uncovered(margins[i]) for i in np.flatnonzero(pick == 0).tolist()}
+        return Planned(len(t1s), blocks, refused)
 
 
 def build_planner(m: int, delta: float = DEFAULT_MARGIN) -> SpherePlanner:

@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import LiftFailure, Uncovered, WrongCodomain
+from .errors import Uncovered, WrongCodomain
 from .fibration import TaskingPlanner, WorkMap
 from .geometry import NORM_TOL, Scaled, normalize, row_norms
 from .milnor import Germ, tube_fibration
-from .sphere_planner import SpherePlanner
+from .sphere_planner import Planned, SpherePlanner
 
 # --- certificates -----------------------------------------------------------
 
@@ -229,7 +229,21 @@ def _tasking_queries(planner: TaskingPlanner, rng, k: int):
 # Queries planned per `plan_batch` call; it bounds how many planned paths
 # the suite holds at once.
 SUITE_BLOCK = 256
+# Rows of a block path sampled on the dense grid per `sample` call; it bounds
+# the suite's transient arrays (rows x knots x dim) to a few hundred kB.
+DENSE_ROWS = 8
 ENDS = np.array([0.0, 1.0])  # a path's two endpoints as one sample grid
+
+
+def _dense(blocks: list, ts: np.ndarray, below: int):
+    """(region index, rows, points) of the rows below `below` of (region index,
+    rows, path) blocks, each path sampled at ts in slices of DENSE_ROWS rows."""
+    for idx, rows, path in blocks:
+        n = int(np.searchsorted(rows, below))
+        for lo in range(0, n, DENSE_ROWS):
+            part = rows[lo : min(n, lo + DENSE_ROWS)]
+            sub = path if part.size == rows.size else path.row(slice(lo, lo + part.size))
+            yield idx, part, sub.sample(ts).reshape(part.size, len(ts), -1)
 
 
 def run_contract_suite(
@@ -278,73 +292,61 @@ def run_contract_suite(
 
     for b0 in range(0, n_queries, SUITE_BLOCK):
         a, b = starts[b0 : b0 + SUITE_BLOCK], goals[b0 : b0 + SUITE_BLOCK]
-        block = planner.plan_batch(a, b)
+        planned = planner.plan_batch(a, b)
         # the block's (base) pairs serve the independent scan and the projection check
         th1s, th2s = (normalize(a), normalize(b)) if is_sphere else planner.base_pairs(a, b)
-        ends = []  # (query, the place of its endpoint failure, path(0), path(1))
-        for i, planned in enumerate(block, b0):
-            if isinstance(planned, Uncovered):
+        found = [[] for _ in range(len(a))]  # each row's failures, in the order it is checked
+        for i, ex in sorted(planned.refused.items()):
+            if isinstance(ex, Uncovered):
                 report.coverage_failures += 1
-                report.failures.append({"index": i, "kind": "uncovered", "detail": str(planned)})
-                continue
-            if isinstance(planned, LiftFailure):
+                found[i].append({"index": b0 + i, "kind": "uncovered", "detail": str(ex)})
+            else:
                 report.lift_failures.append(
-                    {"index": i, "t_star": planned.t_star, "message": str(planned)}
+                    {"index": b0 + i, "t_star": ex.t_star, "message": str(ex)}
                 )
-                continue
-            idx, path = planned
-            th1, th2 = th1s[i - b0], th2s[i - b0]
-
-            # independent minimal-index scan over the (base) regions
-            scan = next(
-                (r.index for r in planner.regions if r.member(th1, th2, planner.delta)), None
+        for idx, rows, _ in planned.blocks:
+            # independent minimal-index scan over the (base) regions, row by row
+            for i in rows.tolist():
+                th1, th2 = th1s[i], th2s[i]
+                scan = next(
+                    (r.index for r in planner.regions if r.member(th1, th2, planner.delta)), None
+                )
+                if scan != idx:
+                    report.dispatch_mismatches += 1
+                    detail = f"planner {idx}, scan {scan}"
+                    found[i].append({"index": b0 + i, "kind": "dispatch", "detail": detail})
+        if planned.blocks:
+            # every path's endpoints from one sample per block and one value call
+            rows, ends = planned.sample(ENDS)
+            err = np.maximum(
+                row_norms(ends[:, 0] - a[rows]), row_norms(value(ends[:, 1]) - b[rows])
             )
-            if scan != idx:
-                report.dispatch_mismatches += 1
-                report.failures.append(
-                    {"index": i, "kind": "dispatch", "detail": f"planner {idx}, scan {scan}"}
-                )
-
-            pts = path.sample(ts) if i < deep_count else None
-            # a dense grid of two or more knots starts at 0 and ends at 1
-            p01 = pts[[0, -1]] if pts is not None and knots > 1 else path.sample(ENDS)
-            ends.append((i, len(report.failures), *p01))
-            if pts is None:
-                continue
+            report.max_endpoint_error = max(report.max_endpoint_error, float(err.max()))
+            for i, e in zip(rows[err > tol].tolist(), err[err > tol]):
+                found[i].append({"index": b0 + i, "kind": "endpoint", "detail": f"error {e:.3e}"})
+        for idx, deep, pts in _dense(planned.blocks, ts, deep_count - b0):
             any_deep = True
             if is_sphere:
-                dev = float(np.abs(np.linalg.norm(pts, axis=1) - 1.0).max())
-                max_surface = max(max_surface, dev)
-                if dev > NORM_TOL:
-                    report.failures.append(
-                        {"index": i, "kind": "off-sphere", "detail": f"deviation {dev:.3e}"}
-                    )
-            else:
-                vals = planner.workmap.f(pts)
-                region = planner.regions[idx - 1]
-                gamma = Scaled(region.build(th1, th2, planner.delta), planner.eta)
-                proj = float(np.linalg.norm(vals - gamma.sample(ts), axis=1).max())
-                dev = float(np.abs(np.linalg.norm(vals, axis=1) - planner.eta).max())
-                max_proj = max(max_proj, proj)
-                max_surface = max(max_surface, dev)
+                devs = np.abs(np.linalg.norm(pts, axis=-1) - 1.0).max(axis=1)
+                max_surface = max(max_surface, float(devs.max()))
+                for i, dev in zip(deep.tolist(), devs):
+                    if dev > NORM_TOL:
+                        detail = f"deviation {dev:.3e}"
+                        found[i].append({"index": b0 + i, "kind": "off-sphere", "detail": detail})
+                continue
+            vals = planner.workmap.f(pts)
+            region = planner.regions[idx - 1]
+            gamma = Scaled(region.build(th1s[deep], th2s[deep], planner.delta), planner.eta)
+            projs = np.linalg.norm(vals - gamma.sample(ts), axis=-1).max(axis=1)
+            devs = np.abs(np.linalg.norm(vals, axis=-1) - planner.eta).max(axis=1)
+            max_proj = max(max_proj, float(projs.max()))
+            max_surface = max(max_surface, float(devs.max()))
+            for i, proj in zip(deep.tolist(), projs):
                 if proj > tol:
-                    report.failures.append(
-                        {"index": i, "kind": "projection", "detail": f"residual {proj:.3e}"}
+                    found[i].append(
+                        {"index": b0 + i, "kind": "projection", "detail": f"residual {proj:.3e}"}
                     )
-
-        # the block's endpoint checks, with one value call; each failure goes in
-        # its row's place, the last row's first so that the earlier places hold
-        if ends:
-            qs, places, p0, p1 = zip(*ends)
-            err0 = row_norms(np.array(p0) - starts[list(qs)])
-            err1 = row_norms(value(np.array(p1)) - goals[list(qs)])
-            for i, place, e0, e1 in reversed(list(zip(qs, places, err0, err1))):
-                err = max(float(e0), float(e1))
-                report.max_endpoint_error = max(report.max_endpoint_error, err)
-                if err > tol:
-                    report.failures.insert(
-                        place, {"index": i, "kind": "endpoint", "detail": f"error {err:.3e}"}
-                    )
+        report.failures += [f for row in found for f in row]
 
     if any_deep:
         report.max_surface_deviation = max_surface
@@ -367,14 +369,6 @@ def _perturb_on_sphere(rng, t: np.ndarray, scale: float) -> np.ndarray:
     return normalize(t + xi)
 
 
-def _lifted(lifts: list) -> list:
-    """The lifts of a `lift_batch` call; the first LiftFailure among them is raised."""
-    for lam in lifts:
-        if isinstance(lam, LiftFailure):
-            raise lam
-    return lifts
-
-
 def continuity_probe(
     planner, region_index: int, n_pairs: int = 64, seed: int = 0
 ) -> list[dict]:
@@ -384,74 +378,78 @@ def continuity_probe(
     Base queries sit well inside the region (margin at least
     delta + delta/2 plus slack for the perturbation) and are shared
     across scales, so the returned max deviations of a continuous local
-    rule decrease monotonically along `PROBE_SCALES`.
+    rule decrease monotonically along `PROBE_SCALES`. Each scale's paths
+    are built as one block.
     """
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, PROBE_KNOTS)
     is_sphere = isinstance(planner, SpherePlanner)
     base = planner if is_sphere else planner.base
+    if not 1 <= region_index <= len(base.regions):
+        raise ValueError(
+            f"region index {region_index} outside 1..{len(base.regions)} of this planner"
+        )
     region = base.regions[region_index - 1]
     # margin head-room: interior by delta/2 plus room for the perturbation
     need = 1.5 * base.delta + 4.0 * PROBE_SCALES[0]
 
-    queries, pairs = [], []  # pairs: the base pairs of pullback queries
+    pairs, starts, subs = [], [], []  # the (base) pairs, pullback starts, perturbation seeds
     attempts = 0
-    while len(queries) < n_pairs:
+    while len(pairs) < n_pairs:
         attempts += 1
         if attempts > 200 * n_pairs:
             raise RuntimeError(f"cannot place queries inside region {region_index}")
         if is_sphere:
-            t1 = normalize(rng.standard_normal(base.m + 1))
-            t2 = normalize(rng.standard_normal(base.m + 1))
-            if region.margin(t1, t2) < need:
-                continue
-            queries.append((t1, t2, rng.integers(1 << 31)))
+            th1 = normalize(rng.standard_normal(base.m + 1))
+            th2 = normalize(rng.standard_normal(base.m + 1))
         else:
             e = planner.workmap.sample(rng, 1)[0]
             w = planner.eta * normalize(rng.standard_normal(planner.workmap.p))
             (th1,), (th2,) = planner.base_pairs(e[None], w[None])
-            if region.margin(th1, th2) < need:
-                continue
-            queries.append((e, w, rng.integers(1 << 31)))
-            pairs.append((th1, th2))
+        if region.margin(th1, th2) < need:
+            continue
+        pairs.append((th1, th2))
+        subs.append(rng.integers(1 << 31))
+        if not is_sphere:
+            starts.append(e)
 
-    if not is_sphere:
-        # the unperturbed lifts do not depend on the scale: lift them once
-        wm = planner.workmap
-        starts = np.array([e for e, _, _ in queries])
-        gammas = [Scaled(region.build(th1, th2, base.delta), planner.eta) for th1, th2 in pairs]
-        ref = [lam.sample(ts) for lam in _lifted(planner.oracle.lift_batch(wm, starts, gammas))]
-
-    rows = []
-    for scale in PROBE_SCALES:
-        devs = np.empty(len(queries))
+    def paths(pairs: list) -> list:
+        # (region index, rows, path) blocks of the region's paths for the (base)
+        # pairs: one block path, or for a numeric lift one path per row
+        rows = np.arange(n_pairs)
+        th1s, th2s = (np.array(side) for side in zip(*pairs))
+        gamma = region.build(th1s, th2s, base.delta)
         if is_sphere:
-            for qi, (a, b, sub) in enumerate(queries):
-                sub_rng = np.random.default_rng(sub)
-                a2 = _perturb_on_sphere(sub_rng, a, scale)
-                b2 = _perturb_on_sphere(sub_rng, b, scale)
-                p1 = region.build(a, b, base.delta)
-                p2 = region.build(a2, b2, base.delta)
-                devs[qi] = float(np.linalg.norm(p1.sample(ts) - p2.sample(ts), axis=1).max())
-        else:
-            # perturb the goal only; the start is pinned to a fiber
-            gammas = []
-            for (th1, th2), (_, _, sub) in zip(pairs, queries):
-                th2b = _perturb_on_sphere(np.random.default_rng(sub), th2, scale)
-                gammas.append(Scaled(region.build(th1, th2b, base.delta), planner.eta))
-            lifts = _lifted(planner.oracle.lift_batch(wm, starts, gammas))
-            for qi, lam in enumerate(lifts):
-                devs[qi] = float(np.linalg.norm(ref[qi] - lam.sample(ts), axis=1).max())
-        rows.append(
+            return [(region_index, rows, gamma)]
+        planned = Planned(n_pairs, [(region_index, rows, Scaled(gamma, planner.eta))], {})
+        lifted = planner.oracle.lift_batch(planner.workmap, np.array(starts), planned)
+        if lifted.refused:  # the first refusal
+            raise lifted.refused[min(lifted.refused)]
+        return lifted.blocks
+
+    ref = paths(pairs)  # the unperturbed paths are the same at every scale
+    out = []
+    for scale in PROBE_SCALES:
+        moved = []
+        for (th1, th2), sub in zip(pairs, subs):
+            sub_rng = np.random.default_rng(sub)
+            if is_sphere:  # a pullback moves the goal only: its start is pinned to a fiber
+                th1 = _perturb_on_sphere(sub_rng, th1, scale)
+            moved.append((th1, _perturb_on_sphere(sub_rng, th2, scale)))
+        devs = np.empty(n_pairs)
+        slices = zip(_dense(ref, ts, n_pairs), _dense(paths(moved), ts, n_pairs))
+        for (_, rows, near), (_, _, pts) in slices:
+            devs[rows] = np.linalg.norm(near - pts, axis=-1).max(axis=1)
+        out.append(
             {
                 "scale": scale,
-                "pairs": len(queries),
+                "pairs": n_pairs,
                 "max_deviation": float(devs.max()),
                 "mean_deviation": float(devs.mean()),
                 "lipschitz_ratio": float(devs.max() / scale),
             }
         )
-    return rows
+    return out
 
 
 def probe_is_monotone(rows: list[dict]) -> bool:

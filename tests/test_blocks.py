@@ -11,7 +11,7 @@ from tubeplan.errors import Uncovered
 from tubeplan.fibration import TaskingPlanner, pullback_planner
 from tubeplan.geometry import Scaled, path_to_json, row_norms
 from tubeplan.milnor import load_germ, tube_fibration
-from tubeplan.sphere_planner import SpherePlanner, build_planner
+from tubeplan.sphere_planner import Planned, SpherePlanner, build_planner
 from tubeplan.verify import run_contract_suite
 
 GERMS = pathlib.Path(__file__).resolve().parent.parent / "germs"
@@ -44,9 +44,9 @@ def test_row_norms_equal_the_one_row_norm(d):
 @pytest.mark.parametrize("name", PLANNERS)
 def test_plan_batch_of_no_rows_is_empty(name):
     planner = _planner(name)
-    assert planner.plan_batch([], []) == []
+    assert list(planner.plan_batch([], [])) == []
     starts, goals = _queries(planner, np.random.default_rng(1), 0)
-    assert planner.plan_batch(starts, goals) == []
+    assert list(planner.plan_batch(starts, goals)) == []
 
 
 @pytest.mark.parametrize("name", PLANNERS)
@@ -59,6 +59,27 @@ def test_plan_batch_equals_plan_row_by_row(name):
         idx, path = planner.plan(a, b)
         assert got[0] == idx
         assert path_to_json(got[1]) == path_to_json(path)
+        assert np.array_equal(got[1].sample(TS), path.sample(TS))
+
+
+TS = np.linspace(0.0, 1.0, 65)
+
+
+@pytest.mark.parametrize("name", PLANNERS)
+def test_a_block_path_samples_its_rows_bit_for_bit(name):
+    planner = _planner(name)
+    planned = planner.plan_batch(*_queries(planner, np.random.default_rng(12), 200))
+    for _, rows, path in planned.blocks:
+        assert path.shape == (rows.size, path.row(0).shape[0])
+        for t in (0.0, 0.3, 0.5, 1.0):
+            rows_at = np.stack([path.row(j).at(t) for j in range(rows.size)])
+            assert np.array_equal(path.at(t), rows_at)
+        want = np.stack([path.row(j).sample(TS) for j in range(rows.size)])
+        assert np.array_equal(path.sample(TS), want)
+        assert np.array_equal(path.row(slice(2, 5)).sample(TS), want[2:5])
+    rows, pts = planned.sample(TS)
+    assert sorted(rows.tolist()) == [i for i in range(200) if i not in planned.refused]
+    assert all(np.array_equal(p, planned[i][1].sample(TS)) for i, p in zip(rows, pts))
 
 
 def _plan_one_row(planner, a, b):
@@ -114,14 +135,16 @@ def test_a_bad_row_raises_what_the_row_loop_raises(name, case):
 
 @dataclasses.dataclass(frozen=True)
 class _LastRegion(SpherePlanner):
-    """Dispatches to the highest-index region that accepts the query, so the
+    """Sends a query to the highest-index region that accepts it, so the
     suite's minimal-index scan disagrees wherever two regions accept it."""
 
-    def dispatch(self, t1, t2):
-        members = [r.index for r in self.regions if r.member(t1, t2, self.delta)]
-        if not members:
-            raise Uncovered("no region accepts the query")
-        return members[-1]
+    def margins(self, t1s, t2s):
+        # an accepting region keeps its margin only when no higher one accepts
+        margins = super().margins(t1s, t2s)
+        ok = margins >= self.delta
+        last = ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)
+        keep = ~ok.any(axis=1)[:, None] | (np.arange(ok.shape[1]) == last[:, None])
+        return np.where(keep, margins, -np.inf)
 
     def plan_batch(self, starts, goals):
         return _stretched(super().plan_batch(starts, goals))
@@ -133,13 +156,17 @@ class _StretchedTasking(TaskingPlanner):
         return _stretched(super().plan_batch(starts, goals))
 
 
-def _stretched(results):
+def _stretched(planned):
     """Every third path scaled by 1 + 1e-6: off its endpoints and off the sphere
     or the fiber, so those rows fail two or three checks at once."""
-    return [
-        (r[0], Scaled(r[1], 1.0 + 1e-6)) if k % 3 == 0 and not isinstance(r, Exception) else r
-        for k, r in enumerate(results)
-    ]
+    blocks = []
+    for idx, rows, path in planned.blocks:
+        third = rows % 3 == 0
+        for part, factor in ((third, 1.0 + 1e-6), (~third, None)):
+            if part.any():
+                sub = path.row(np.flatnonzero(part))
+                blocks.append((idx, rows[part], sub if factor is None else Scaled(sub, factor)))
+    return Planned(planned.size, blocks, planned.refused)
 
 
 def _skewed(planner):

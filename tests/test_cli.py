@@ -344,3 +344,52 @@ def test_zero_samples_prints_an_empty_sample_list(capsys, command):
     code, out, _ = run_cli(capsys, *_plan_argv(command), "--samples", "0")
     assert code == 0
     assert json.loads(out)["samples"] == []
+
+
+_CUBE_START = ["--germ", "germs/cube.json", "--start", "0.23,0.0"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plan-tube", *_CUBE_START, "--angle", "inf"],
+         "argument --angle: must be finite, got inf"),
+        (["plan-tube", *_CUBE_START, "--angle", "nan"],
+         "argument --angle: must be finite, got nan"),
+        (["monodromy", "--germ", "germs/cube.json", "--angle", "inf"],
+         "argument --angle: must be finite, got inf"),
+        (["fiber", "--germ", "germs/cube.json", "--angle=-inf"],
+         "argument --angle: must be finite, got -inf"),
+        (["verify", "--sphere", "2", "--queries", "-5"],
+         "argument --queries: must be 0 or more, got -5"),
+        (["verify", "--sphere", "2", "--knots", "0"], "argument --knots: must be 1 or more, got 0"),
+        (["verify", "--sphere", "0"], "argument --sphere: must be 1 or more, got 0"),
+        (["plan-sphere", "--dim", "0", "--start", "1", "--goal", "1"],
+         "argument --dim: must be 1 or more, got 0"),
+        (["fiber", "--germ", "germs/cube.json", "--seeds", "-4"],
+         "argument --seeds: must be 100 or more, got -4"),
+        (["link", "--germ", "germs/cube.json", "--seeds", "5"],
+         "argument --seeds: must be 100 or more, got 5"),
+        (["certify", "--germ", "germs/cube.json", "--quantity", "sec", "--seeds", "99"],
+         "argument --seeds: must be 100 or more, got 99"),
+        (["verify", "--sphere", "2", "--queries", "10", "--probe-region", "7"],
+         "argument --probe-region: must lie in 1..3 for this planner, got 7"),
+        (["verify", "--sphere", "3", "--queries", "10", "--probe-region", "-1"],
+         "argument --probe-region: must lie in 1..2 for this planner, got -1"),
+        (["verify", "--hopf", "--queries", "10", "--probe-region", "0"],
+         "argument --probe-region: must lie in 1..3 for this planner, got 0"),
+    ],
+    ids=[
+        "plan-tube-angle-inf", "plan-tube-angle-nan", "monodromy-angle-inf", "fiber-angle-inf",
+        "verify-negative-queries", "verify-zero-knots", "verify-sphere-0", "plan-sphere-dim-0",
+        "fiber-negative-seeds", "link-few-seeds", "certify-few-seeds", "verify-probe-region-7",
+        "verify-probe-region-minus-1", "verify-probe-region-0",
+    ],
+)
+def test_bad_number_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, text = capsys.readouterr()
+    assert out == ""
+    assert text.splitlines()[-1].endswith(f"error: {message}")

@@ -1,0 +1,83 @@
+"""The sphere planners on the dispatch-boundary families of `stress_families`.
+
+Each family goes through the contract suite, whose minimal-index scan runs
+row by row with `Region.member`, and through `plan_batch` against `plan`,
+which dispatches one row at a time: a block margin that differs from its
+row margin by an ulp shows as another region.
+"""
+
+import numpy as np
+import pytest
+
+import stress_families as fam
+from tubeplan.geometry import path_to_json
+from tubeplan.sphere_planner import build_planner
+from tubeplan.verify import run_contract_suite
+
+SPHERES = [1, 2, 3, 4]
+K = 40  # pairs per family and sphere
+
+
+def _region_kinds(m):
+    """(region index, margin kind of `margin_pairs`) for each region of the S^m planner."""
+    if m % 2:
+        return [(1, "segment"), (2, "odd-detour")]
+    return [(1, "chart"), (2, "segment"), (3, "even-detour")]
+
+
+def _families(m, seed):
+    rng = np.random.default_rng(seed)
+    out = {}
+    for index, kind in _region_kinds(m):
+        for rel in (-1e-6, 1e-6):
+            out[f"{kind}{rel:+.0e}"] = (index, rel, fam.margin_pairs(rng, m, kind, K, rel))
+    out["near-antipodal"] = (None, None, fam.near_antipodal_pairs(rng, m, K))
+    out["near-field-zero"] = (None, None, fam.near_field_zero_goals(rng, m, K))
+    return out
+
+
+@pytest.mark.parametrize("m", SPHERES)
+def test_margin_families_sit_on_the_boundary(m):
+    planner = build_planner(m)
+    for name, (index, rel, (t1s, t2s)) in _families(m, 100 + m).items():
+        assert np.allclose(np.linalg.norm(t1s, axis=1), 1.0, atol=1e-14, rtol=0), name
+        assert np.allclose(np.linalg.norm(t2s, axis=1), 1.0, atol=1e-14, rtol=0), name
+        if index is None:
+            continue
+        margin = planner.regions[index - 1].margin
+        rels = np.array([margin(a, b) for a, b in zip(t1s, t2s)]) / planner.delta - 1.0
+        assert np.allclose(rels, rel, atol=1e-12, rtol=0), name
+
+
+@pytest.mark.parametrize("m", SPHERES)
+def test_families_pass_the_contract_suite(m):
+    planner = build_planner(m)
+    for name, (_, _, queries) in _families(m, 200 + m).items():
+        report = run_contract_suite(planner, K, queries=queries, knots=64)
+        assert report.passed, (name, report.failures[:3])
+
+
+@pytest.mark.parametrize("m", SPHERES)
+def test_families_plan_batch_equals_plan(m):
+    planner = build_planner(m)
+    for name, (_, _, (t1s, t2s)) in _families(m, 300 + m).items():
+        batch = planner.plan_batch(t1s, t2s)
+        for i, (a, b) in enumerate(zip(t1s, t2s)):
+            idx, path = planner.plan(a, b)
+            assert batch[i][0] == idx, (name, i)
+            assert path_to_json(batch[i][1]) == path_to_json(path), (name, i)
+
+
+@pytest.mark.parametrize("m", SPHERES)
+def test_a_margin_equal_to_delta_dispatches_alike(m):
+    # delta is set to one row's own margin, so only a block margin equal to the
+    # row margin to the last bit keeps that row in the region
+    for index, kind in _region_kinds(m):
+        t1s, t2s = fam.margin_pairs(np.random.default_rng(400 + m), m, kind, 8, 1e-6)
+        for i in range(8):
+            row = build_planner(m).regions[index - 1].margin(t1s[i], t2s[i])
+            planner = build_planner(m, delta=float(row))
+            assert planner.regions[index - 1].member(t1s[i], t2s[i], planner.delta)
+            batch = planner.plan_batch(t1s, t2s)
+            for j in range(8):
+                assert batch[j][0] == planner.plan(t1s[j], t2s[j])[0], (kind, i, j)

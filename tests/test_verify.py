@@ -201,6 +201,14 @@ def test_probe_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("m, region", [(1, 3), (1, 0), (2, 4), (2, -1)])
+def test_probe_rejects_a_region_the_planner_lacks(m, region):
+    with pytest.raises(ValueError, match=r"outside 1\.\.\d"):
+        continuity_probe(build_planner(m), region, n_pairs=4)
+    with pytest.raises(ValueError, match=r"outside 1\.\.\d"):
+        continuity_probe(pullback_planner(tube_fibration(power_germ(2))), region, n_pairs=4)
+
+
 def test_probe_is_monotone_helper():
     assert probe_is_monotone([{"max_deviation": 3.0}, {"max_deviation": 1.0}])
     assert not probe_is_monotone([{"max_deviation": 1.0}, {"max_deviation": 1.0}])
