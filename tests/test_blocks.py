@@ -16,6 +16,7 @@ from tubeplan.verify import run_contract_suite
 
 GERMS = pathlib.Path(__file__).resolve().parent.parent / "germs"
 PLANNERS = ["S1", "S2", "S3", "S4", "brieskorn_2_3", "two_factor", "cube"]
+TS = np.linspace(0.0, 1.0, 65)
 
 
 def _planner(name):
@@ -60,9 +61,6 @@ def test_plan_batch_equals_plan_row_by_row(name):
         assert got[0] == idx
         assert path_to_json(got[1]) == path_to_json(path)
         assert np.array_equal(got[1].sample(TS), path.sample(TS))
-
-
-TS = np.linspace(0.0, 1.0, 65)
 
 
 @pytest.mark.parametrize("name", PLANNERS)
