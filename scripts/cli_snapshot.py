@@ -109,6 +109,7 @@ def commands() -> list[tuple[str, list[str]]]:
                                  "--angle", "nan"]),
         ("verify-probe-region-7", ["verify", "--sphere", "2", "--queries", "10",
                                    "--probe-region", "7"]),
+        ("verify-negative-deep", ["verify", "--sphere", "2", "--queries", "5", "--deep", "-3"]),
     ]
 
 

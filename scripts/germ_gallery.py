@@ -48,7 +48,8 @@ def survey_germ(germ):
     print(f"   fiber: {fiber.n_components} component(s) from {fiber.n_converged}/{N_SEEDS} seeds,"
           f" merge radius {fiber.radius:.3g}")
     print(f"   link evidence: {link.evidence} ({link.points.shape[0]} points)")
-    print(f"   regularity probe: {probe.verdict} (min pair sigma {probe.min_sigma_pair:.3g})")
+    print(f"   regularity probe: {probe.verdict} (min |df| on S_eps"
+          f" {probe.min_boundary_gradient:.3g}, bound {probe.transversality_bound:.3g})")
     print(f"   TC(f|): {fmt_range(tc)}  [{tc.tags[-1]}]")
     print(f"   sections: {fmt_range(sec)}, section exists: {sec.section_exists}")
     print(f"   ({dt:.1f}s)")

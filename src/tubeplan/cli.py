@@ -339,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rr-arm", action="store_true", help="check the two-joint arm map")
     sp.add_argument("--queries", type=sample_count, default=1000)
     sp.add_argument("--knots", type=positive_int, default=256)
-    sp.add_argument("--deep", type=int, default=None, help="dense-check only this many queries")
+    sp.add_argument("--deep", type=sample_count, default=None,
+                    help="dense-check only this many queries")
     sp.add_argument("--probe-region", type=int, default=None, help="attach a continuity probe")
     _add_common(sp, seed=True, margin=True)
     sp.set_defaults(func=cmd_verify)

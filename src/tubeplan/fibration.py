@@ -31,6 +31,7 @@ from .geometry import (
     gauss_newton_step,
     newton_project,  # re-exported: tests and tools import it from here
     normalize,
+    perturb_on_sphere,
     row_norms,
 )
 from .sphere_planner import DEFAULT_MARGIN, Planned, SpherePlanner, build_planner
@@ -329,6 +330,48 @@ class TaskingPlanner:
         base = self.base.plan_units(*self.base_pairs(starts, goals))
         scaled = [(idx, rows, Scaled(path, self.eta)) for idx, rows, path in base.blocks]
         return self.oracle.lift_batch(self.workmap, starts, Planned(base.size, scaled, base.refused))
+
+    # the planner protocol of `verify`: see SpherePlanner
+    @property
+    def end_tol(self) -> float:
+        return self.oracle.lift_tol
+
+    @property
+    def label(self) -> str:
+        return f"pullback({self.workmap.name}, oracle={self.oracle.kind}, delta={self.delta})"
+
+    def sample_queries(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+        starts = self.workmap.sample(rng, k)
+        return starts, self.eta * normalize(rng.standard_normal((k, self.workmap.p)))
+
+    def sample_pairs(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, ...]:
+        starts, goals = self.sample_queries(rng, k)
+        return (starts, *self.base_pairs(starts, goals))
+
+    def end_value(self, x: np.ndarray) -> np.ndarray:
+        return self.workmap.f(x)
+
+    def deep_check(self, idx: int, t1s, t2s, pts: np.ndarray, ts: np.ndarray) -> tuple:
+        """Checks each row's projection residual against its base path and records
+        its distance from the task sphere."""
+        vals = self.workmap.f(pts)
+        gamma = Scaled(self.regions[idx - 1].build(t1s, t2s, self.delta), self.eta)
+        projs = np.linalg.norm(vals - gamma.sample(ts), axis=-1).max(axis=1)
+        devs = np.abs(np.linalg.norm(vals, axis=-1) - self.eta).max(axis=1)
+        measured = {"max_projection_residual": projs, "max_surface_deviation": devs}
+        return "projection", "residual", projs, measured
+
+    def perturb(self, rng: np.random.Generator, t1: np.ndarray, t2: np.ndarray, scale: float):
+        return t1, perturb_on_sphere(rng, t2, scale)  # the start stays pinned to its fiber
+
+    def region_paths(self, idx: int, starts, t1s: np.ndarray, t2s: np.ndarray) -> list:
+        """The base region's paths lifted from starts; the first refused row raises."""
+        base = self.base.region_paths(idx, starts, t1s, t2s)
+        scaled = [(i, rows, Scaled(path, self.eta)) for i, rows, path in base]
+        lifted = self.oracle.lift_batch(self.workmap, starts, Planned(len(t1s), scaled, {}))
+        if lifted.refused:
+            raise lifted.refused[min(lifted.refused)]
+        return lifted.blocks
 
 
 def pullback_planner(

@@ -60,6 +60,14 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
+def perturb_on_sphere(rng: np.random.Generator, t: np.ndarray, scale: float) -> np.ndarray:
+    """The unit point t moved by scale along a random tangent direction."""
+    xi = rng.standard_normal(t.shape[0])
+    xi -= (xi @ t) * t
+    xi = scale * xi / np.linalg.norm(xi)
+    return normalize(t + xi)
+
+
 def stereo_proj(x: np.ndarray) -> np.ndarray:
     """Chart S^m minus the north pole -> R^m.
 

@@ -46,7 +46,7 @@ RADIUS_FLOOR = 1e-9
 # was fastest at 5000 seeds (6: +10%, 12: +1%, 16: +14%) and within 15% of
 # 6 at 1500 seeds, where fewer neighbours leave more for the repair to join.
 CLUSTER_K = 8
-PROBE_THRESHOLD = 1e-6  # regularity verdict needs both minima above this
+PROBE_THRESHOLD = 1e-6  # regularity verdict needs the smallest sigma of Df above this
 
 
 def _check_tri(value: str, what: str) -> str:
@@ -581,29 +581,24 @@ def permutation_cycles(perm: np.ndarray) -> list[list[int]]:
 # --- regularity probes ---------------------------------------------------------
 
 
-def regularity_sigmas(wm: WorkMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest singular values of Df and of Df stacked with the radial
-    gradient. Accepts batches over leading axes."""
-    x = np.asarray(x, dtype=float)
-    J = np.asarray(wm.jac(x), dtype=float)
-    pair = np.concatenate([J, (2.0 * x)[..., None, :]], axis=-2)
-    s_map = np.linalg.svd(J, compute_uv=False)[..., -1]
-    s_pair = np.linalg.svd(pair, compute_uv=False)[..., -1]
-    return s_map, s_pair
-
-
 @dataclass(frozen=True)
 class RegularityProbe:
-    """Sampled minima of the two transversality proxies over the tube.
+    """Sampled evidence that the tube of a germ fibres (Milnor 1968, ch. 9).
 
-    Heuristic only: a pass says no singular behavior was seen at the
-    sampled points, not that none exists.
+    min_sigma_map is the smallest singular value of Df over tube samples.
+    Fibers may touch smaller spheres inside the ball; only transversality to
+    the boundary S_eps matters. By the Euler relation sum_i w_i z_i df/dz_i =
+    d f, a fiber over |c| = eta is tangent to S_eps only where |df| <= d eta /
+    (w_min eps), the transversality_bound; min_boundary_gradient is the least
+    |df| over samples of S_eps. Evidence, not proof: a pass says no sampled
+    point breaks that sufficient condition, not that none does.
     """
 
     workmap_name: str
     n_samples: int
     min_sigma_map: float
-    min_sigma_pair: float
+    min_boundary_gradient: float
+    transversality_bound: float
     threshold: float
     verdict: str
 
@@ -612,29 +607,35 @@ class RegularityProbe:
             "workmap": self.workmap_name,
             "samples": self.n_samples,
             "min_sigma_map": self.min_sigma_map,
-            "min_sigma_pair": self.min_sigma_pair,
+            "min_boundary_gradient": self.min_boundary_gradient,
+            "transversality_bound": self.transversality_bound,
             "threshold": self.threshold,
             "verdict": self.verdict,
         }
 
 
 def regularity_probe(germ: Germ, n_samples: int = 2000, seed: int = 0) -> RegularityProbe:
-    """Scan tube samples for rank degeneration of f and of (f, ||x||^2)."""
+    """Scan tube samples for rank drops of Df, and samples of the boundary S_eps
+    (never inner points) for |df| at or below the bound of `RegularityProbe`."""
     if n_samples < 1000:
         raise ValueError("probe needs at least 1000 samples to mean anything")
     wm = tube_fibration(germ)
-    pts = wm.sample(np.random.default_rng(seed), n_samples)
-    s_map, s_pair = regularity_sigmas(wm, pts)
-    min_map = float(s_map.min())
-    min_pair = float(s_pair.min())
-    verdict = "probably regular" if min(min_map, min_pair) > PROBE_THRESHOLD else "suspect"
+    rng = np.random.default_rng(seed)
+    pts = wm.sample(rng, n_samples)
+    min_map = float(np.linalg.svd(wm.jac(pts), compute_uv=False)[..., -1].min())
+    # f is holomorphic, so |df| is the Frobenius norm of its real Jacobian over sqrt(2)
+    edge = wm.jac(_sphere_seeds(rng, n_samples, germ.n, germ.epsilon))
+    min_grad = float(np.linalg.norm(edge, axis=(-2, -1)).min()) / math.sqrt(2.0)
+    bound = germ.degree * germ.eta / (min(germ.weights) * germ.epsilon)
+    regular = min_map > PROBE_THRESHOLD and min_grad > bound
     return RegularityProbe(
         workmap_name=germ.name,
         n_samples=n_samples,
         min_sigma_map=min_map,
-        min_sigma_pair=min_pair,
+        min_boundary_gradient=min_grad,
+        transversality_bound=bound,
         threshold=PROBE_THRESHOLD,
-        verdict=verdict,
+        verdict="probably regular" if regular else "suspect",
     )
 
 

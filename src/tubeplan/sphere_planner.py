@@ -21,11 +21,13 @@ import numpy as np
 
 from .errors import AntipodalPair, AtPole, BadMargin, EqualPair, PoleOfField, Uncovered
 from .geometry import (
+    NORM_TOL,
     Concat,
     NormalizedSegment,
     PathExpr,
     StereoSegment,
     normalize,
+    perturb_on_sphere,
     row_norms,
     tangent_even,
     tangent_odd,
@@ -202,13 +204,14 @@ class SpherePlanner:
         return idx, region.build(t1, t2, self.delta)
 
     def plan_batch(self, starts: np.ndarray, goals: np.ndarray) -> Planned:
-        """Plan every row (see `Planned`); Uncovered refuses a row.
-
-        The points are checked and normalized a block at a time, then go to
-        `plan_units`. A bad row raises what `plan` raises on it.
-        """
+        """Plan every row (see `Planned`); Uncovered refuses a row."""
         if len(starts) == len(goals) == 0:
             return Planned(0, [], {})
+        return self.plan_units(*self.base_pairs(starts, goals))
+
+    def base_pairs(self, starts: np.ndarray, goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both blocks of points checked and normalized in one pass; the first
+        bad row raises what `plan` raises on it."""
         blocks = [np.asarray(b, dtype=float) for b in (starts, goals)]
         if any(b.shape[1:] != (self.m + 1,) for b in blocks):
             self.plan(blocks[0][0], blocks[1][0])  # no row has the right shape: row 0 raises
@@ -217,7 +220,7 @@ class SpherePlanner:
         for i in np.flatnonzero(~(ok[0] & ok[1]))[:1]:
             self.plan(blocks[0][i], blocks[1][i])  # raises the first bad row's error
         t1s, t2s = (b / n[:, None] for b, n in zip(blocks, norms))
-        return self.plan_units(t1s, t2s)
+        return t1s, t2s
 
     def plan_units(self, t1s: np.ndarray, t2s: np.ndarray) -> Planned:
         """Plan a block of unit pairs: every row goes to the lowest region whose
@@ -230,6 +233,39 @@ class SpherePlanner:
                   for r in self.regions if (rows := np.flatnonzero(pick == r.index)).size]
         refused = {i: self._uncovered(margins[i]) for i in np.flatnonzero(pick == 0).tolist()}
         return Planned(len(t1s), blocks, refused)
+
+    # the planner protocol of `verify` (README): a pullback planner has the same members
+    end_tol = NORM_TOL  # how far a path end may sit from its query point
+
+    @property
+    def label(self) -> str:
+        return f"sphere(m={self.m}, delta={self.delta})"
+
+    def sample_queries(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+        starts = normalize(rng.standard_normal((k, self.m + 1)))
+        return starts, normalize(rng.standard_normal((k, self.m + 1)))
+
+    def sample_pairs(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, ...]:
+        """(starts, t1s, t2s) of k queries: sampled points are their own unit pairs."""
+        t1s, t2s = self.sample_queries(rng, k)
+        return t1s, t1s, t2s
+
+    def end_value(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def deep_check(self, idx: int, t1s, t2s, pts: np.ndarray, ts: np.ndarray) -> tuple:
+        """(failure kind, detail word, per-row values checked against end_tol, report
+        maxima) of the block rows whose paths pts samples at ts."""
+        devs = np.abs(np.linalg.norm(pts, axis=-1) - 1.0).max(axis=1)
+        return "off-sphere", "deviation", devs, {"max_surface_deviation": devs}
+
+    def perturb(self, rng: np.random.Generator, t1: np.ndarray, t2: np.ndarray, scale: float):
+        t1 = perturb_on_sphere(rng, t1, scale)
+        return t1, perturb_on_sphere(rng, t2, scale)
+
+    def region_paths(self, idx: int, starts, t1s: np.ndarray, t2s: np.ndarray) -> list:
+        """Region idx's (region index, rows, path) blocks for a block of pairs, no dispatch."""
+        return [(idx, np.arange(len(t1s)), self.regions[idx - 1].build(t1s, t2s, self.delta))]
 
 
 def build_planner(m: int, delta: float = DEFAULT_MARGIN) -> SpherePlanner:

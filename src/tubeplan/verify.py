@@ -17,10 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import Uncovered, WrongCodomain
-from .fibration import TaskingPlanner, WorkMap
-from .geometry import NORM_TOL, Scaled, normalize, row_norms
+from .fibration import WorkMap
+from .geometry import row_norms
 from .milnor import Germ, tube_fibration
-from .sphere_planner import Planned, SpherePlanner
 
 # --- certificates -----------------------------------------------------------
 
@@ -205,27 +204,6 @@ class VerificationReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def _planner_id(planner) -> str:
-    if isinstance(planner, SpherePlanner):
-        return f"sphere(m={planner.m}, delta={planner.delta})"
-    if isinstance(planner, TaskingPlanner):
-        kind = getattr(planner.oracle, "kind", "?")
-        return f"pullback({planner.workmap.name}, oracle={kind}, delta={planner.delta})"
-    return type(planner).__name__
-
-
-def _sphere_queries(planner: SpherePlanner, rng, k: int):
-    starts = normalize(rng.standard_normal((k, planner.m + 1)))
-    goals = normalize(rng.standard_normal((k, planner.m + 1)))
-    return starts, goals
-
-
-def _tasking_queries(planner: TaskingPlanner, rng, k: int):
-    starts = planner.workmap.sample(rng, k)
-    goals = planner.eta * normalize(rng.standard_normal((k, planner.workmap.p)))
-    return starts, goals
-
-
 # Queries planned per `plan_batch` call; it bounds how many planned paths
 # the suite holds at once.
 SUITE_BLOCK = 256
@@ -255,46 +233,33 @@ def run_contract_suite(
     queries: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> VerificationReport:
     """Randomized planner check: coverage, minimal-index dispatch,
-    endpoint contracts, and (on the first `deep` queries) dense on-sphere
-    or projection checks along the whole path.
+    endpoint contracts, and (on the first `deep` queries) the planner's
+    dense check along the whole path.
 
-    Reports are deterministic functions of (planner, n_queries, seed);
-    failures carry the query index so a run can be replayed.
+    Any planner with the members README lists works: the checks go through
+    them only. Reports are deterministic functions of (planner, n_queries,
+    seed); failures carry the query index so a run can be replayed.
     """
     rng = np.random.default_rng(seed)
-    is_sphere = isinstance(planner, SpherePlanner)
     if queries is not None:
         starts, goals = np.asarray(queries[0], float), np.asarray(queries[1], float)
         n_queries = starts.shape[0]
-    elif is_sphere:
-        starts, goals = _sphere_queries(planner, rng, n_queries)
     else:
-        starts, goals = _tasking_queries(planner, rng, n_queries)
+        starts, goals = planner.sample_queries(rng, n_queries)
     deep_count = n_queries if deep is None else min(deep, n_queries)
     ts = np.linspace(0.0, 1.0, knots)
-
-    tol = NORM_TOL if is_sphere else planner.oracle.lift_tol
-    # what the endpoint check compares with the goal: the point itself on a
-    # sphere, its value under the work map on a pullback
-    value = (lambda x: x) if is_sphere else planner.workmap.f
+    tol = planner.end_tol
 
     report = VerificationReport(
-        planner=_planner_id(planner),
-        queries=n_queries,
-        regions=len(planner.regions),
-        seed=seed,
-        knots=knots,
-        deep_queries=deep_count,
+        planner=planner.label, queries=n_queries, regions=len(planner.regions), seed=seed,
+        knots=knots, deep_queries=deep_count,
     )
-    max_proj = 0.0
-    max_surface = 0.0
-    any_deep = False
+    maxima = {}  # report field -> the largest value the dense checks fed it
 
     for b0 in range(0, n_queries, SUITE_BLOCK):
         a, b = starts[b0 : b0 + SUITE_BLOCK], goals[b0 : b0 + SUITE_BLOCK]
         planned = planner.plan_batch(a, b)
-        # the block's (base) pairs serve the independent scan and the projection check
-        th1s, th2s = (normalize(a), normalize(b)) if is_sphere else planner.base_pairs(a, b)
+        th1s, th2s = planner.base_pairs(a, b)  # the pairs dispatch used
         found = [[] for _ in range(len(a))]  # each row's failures, in the order it is checked
         for i, ex in sorted(planned.refused.items()):
             if isinstance(ex, Uncovered):
@@ -319,39 +284,22 @@ def run_contract_suite(
             # every path's endpoints from one sample per block and one value call
             rows, ends = planned.sample(ENDS)
             err = np.maximum(
-                row_norms(ends[:, 0] - a[rows]), row_norms(value(ends[:, 1]) - b[rows])
+                row_norms(ends[:, 0] - a[rows]), row_norms(planner.end_value(ends[:, 1]) - b[rows])
             )
             report.max_endpoint_error = max(report.max_endpoint_error, float(err.max()))
             for i, e in zip(rows[err > tol].tolist(), err[err > tol]):
                 found[i].append({"index": b0 + i, "kind": "endpoint", "detail": f"error {e:.3e}"})
         for idx, deep, pts in _dense(planned.blocks, ts, deep_count - b0):
-            any_deep = True
-            if is_sphere:
-                devs = np.abs(np.linalg.norm(pts, axis=-1) - 1.0).max(axis=1)
-                max_surface = max(max_surface, float(devs.max()))
-                for i, dev in zip(deep.tolist(), devs):
-                    if dev > NORM_TOL:
-                        detail = f"deviation {dev:.3e}"
-                        found[i].append({"index": b0 + i, "kind": "off-sphere", "detail": detail})
-                continue
-            vals = planner.workmap.f(pts)
-            region = planner.regions[idx - 1]
-            gamma = Scaled(region.build(th1s[deep], th2s[deep], planner.delta), planner.eta)
-            projs = np.linalg.norm(vals - gamma.sample(ts), axis=-1).max(axis=1)
-            devs = np.abs(np.linalg.norm(vals, axis=-1) - planner.eta).max(axis=1)
-            max_proj = max(max_proj, float(projs.max()))
-            max_surface = max(max_surface, float(devs.max()))
-            for i, proj in zip(deep.tolist(), projs):
-                if proj > tol:
-                    found[i].append(
-                        {"index": b0 + i, "kind": "projection", "detail": f"residual {proj:.3e}"}
-                    )
+            kind, word, values, measured = planner.deep_check(idx, th1s[deep], th2s[deep], pts, ts)
+            for key, v in measured.items():
+                maxima[key] = max(maxima.get(key, 0.0), float(v.max()))
+            for i, v in zip(deep.tolist(), values):
+                if v > tol:
+                    found[i].append({"index": b0 + i, "kind": kind, "detail": f"{word} {v:.3e}"})
         report.failures += [f for row in found for f in row]
 
-    if any_deep:
-        report.max_surface_deviation = max_surface
-        if not is_sphere:
-            report.max_projection_residual = max_proj
+    for key, v in maxima.items():
+        setattr(report, key, v)
     return report
 
 
@@ -360,13 +308,6 @@ def run_contract_suite(
 # Perturbation scales, largest first, and the sample grid of the probe.
 PROBE_SCALES = (1e-3, 1e-4, 1e-5)
 PROBE_KNOTS = 256
-
-
-def _perturb_on_sphere(rng, t: np.ndarray, scale: float) -> np.ndarray:
-    xi = rng.standard_normal(t.shape[0])
-    xi -= (xi @ t) * t
-    xi = scale * xi / np.linalg.norm(xi)
-    return normalize(t + xi)
 
 
 def continuity_probe(
@@ -383,72 +324,42 @@ def continuity_probe(
     """
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, PROBE_KNOTS)
-    is_sphere = isinstance(planner, SpherePlanner)
-    base = planner if is_sphere else planner.base
-    if not 1 <= region_index <= len(base.regions):
-        raise ValueError(
-            f"region index {region_index} outside 1..{len(base.regions)} of this planner"
-        )
-    region = base.regions[region_index - 1]
+    regions = planner.regions
+    if not 1 <= region_index <= len(regions):
+        raise ValueError(f"region index {region_index} outside 1..{len(regions)} of this planner")
+    region = regions[region_index - 1]
     # margin head-room: interior by delta/2 plus room for the perturbation
-    need = 1.5 * base.delta + 4.0 * PROBE_SCALES[0]
+    need = 1.5 * planner.delta + 4.0 * PROBE_SCALES[0]
 
-    pairs, starts, subs = [], [], []  # the (base) pairs, pullback starts, perturbation seeds
+    starts, pairs, subs = [], [], []  # the query starts, (base) pairs and perturbation seeds
     attempts = 0
     while len(pairs) < n_pairs:
         attempts += 1
         if attempts > 200 * n_pairs:
             raise RuntimeError(f"cannot place queries inside region {region_index}")
-        if is_sphere:
-            th1 = normalize(rng.standard_normal(base.m + 1))
-            th2 = normalize(rng.standard_normal(base.m + 1))
-        else:
-            e = planner.workmap.sample(rng, 1)[0]
-            w = planner.eta * normalize(rng.standard_normal(planner.workmap.p))
-            (th1,), (th2,) = planner.base_pairs(e[None], w[None])
+        (e,), (th1,), (th2,) = planner.sample_pairs(rng, 1)
         if region.margin(th1, th2) < need:
             continue
+        starts.append(e)
         pairs.append((th1, th2))
         subs.append(rng.integers(1 << 31))
-        if not is_sphere:
-            starts.append(e)
 
     def paths(pairs: list) -> list:
-        # (region index, rows, path) blocks of the region's paths for the (base)
-        # pairs: one block path, or for a numeric lift one path per row
-        rows = np.arange(n_pairs)
         th1s, th2s = (np.array(side) for side in zip(*pairs))
-        gamma = region.build(th1s, th2s, base.delta)
-        if is_sphere:
-            return [(region_index, rows, gamma)]
-        planned = Planned(n_pairs, [(region_index, rows, Scaled(gamma, planner.eta))], {})
-        lifted = planner.oracle.lift_batch(planner.workmap, np.array(starts), planned)
-        if lifted.refused:  # the first refusal
-            raise lifted.refused[min(lifted.refused)]
-        return lifted.blocks
+        return planner.region_paths(region_index, np.array(starts), th1s, th2s)
 
     ref = paths(pairs)  # the unperturbed paths are the same at every scale
     out = []
     for scale in PROBE_SCALES:
-        moved = []
-        for (th1, th2), sub in zip(pairs, subs):
-            sub_rng = np.random.default_rng(sub)
-            if is_sphere:  # a pullback moves the goal only: its start is pinned to a fiber
-                th1 = _perturb_on_sphere(sub_rng, th1, scale)
-            moved.append((th1, _perturb_on_sphere(sub_rng, th2, scale)))
+        moved = [planner.perturb(np.random.default_rng(sub), *pair, scale)
+                 for pair, sub in zip(pairs, subs)]
         devs = np.empty(n_pairs)
         slices = zip(_dense(ref, ts, n_pairs), _dense(paths(moved), ts, n_pairs))
         for (_, rows, near), (_, _, pts) in slices:
             devs[rows] = np.linalg.norm(near - pts, axis=-1).max(axis=1)
-        out.append(
-            {
-                "scale": scale,
-                "pairs": n_pairs,
-                "max_deviation": float(devs.max()),
-                "mean_deviation": float(devs.mean()),
-                "lipschitz_ratio": float(devs.max() / scale),
-            }
-        )
+        worst = float(devs.max())
+        out.append({"scale": scale, "pairs": n_pairs, "max_deviation": worst,
+                    "mean_deviation": float(devs.mean()), "lipschitz_ratio": worst / scale})
     return out
 
 

@@ -12,13 +12,7 @@ import numpy as np
 from tubeplan.errors import LiftFailure, Uncovered
 from tubeplan.geometry import NORM_TOL, Scaled, normalize
 from tubeplan.sphere_planner import SpherePlanner
-from tubeplan.verify import (
-    SUITE_BLOCK,
-    VerificationReport,
-    _planner_id,
-    _sphere_queries,
-    _tasking_queries,
-)
+from tubeplan.verify import SUITE_BLOCK, VerificationReport
 
 
 def _pair(planner, a, b):
@@ -31,15 +25,14 @@ def run_contract_suite(planner, n_queries, seed=0, knots=256, deep=None, queries
     """The report dict of `verify.run_contract_suite` with the same arguments."""
     rng = np.random.default_rng(seed)
     is_sphere = isinstance(planner, SpherePlanner)
-    draw = _sphere_queries if is_sphere else _tasking_queries
-    starts, goals = queries if queries is not None else draw(planner, rng, n_queries)
+    starts, goals = queries if queries is not None else planner.sample_queries(rng, n_queries)
     n_queries = starts.shape[0]
     deep_count = n_queries if deep is None else min(deep, n_queries)
     ts = np.linspace(0.0, 1.0, knots)
     tol = NORM_TOL if is_sphere else planner.oracle.lift_tol
     value = (lambda x: x) if is_sphere else planner.workmap.f
     report = VerificationReport(
-        planner=_planner_id(planner), queries=n_queries, regions=len(planner.regions),
+        planner=planner.label, queries=n_queries, regions=len(planner.regions),
         seed=seed, knots=knots, deep_queries=deep_count,
     )
     max_proj = max_surface = 0.0

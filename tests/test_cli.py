@@ -362,6 +362,8 @@ _CUBE_START = ["--germ", "germs/cube.json", "--start", "0.23,0.0"]
          "argument --angle: must be finite, got -inf"),
         (["verify", "--sphere", "2", "--queries", "-5"],
          "argument --queries: must be 0 or more, got -5"),
+        (["verify", "--sphere", "2", "--queries", "5", "--deep", "-3"],
+         "argument --deep: must be 0 or more, got -3"),
         (["verify", "--sphere", "2", "--knots", "0"], "argument --knots: must be 1 or more, got 0"),
         (["verify", "--sphere", "0"], "argument --sphere: must be 1 or more, got 0"),
         (["plan-sphere", "--dim", "0", "--start", "1", "--goal", "1"],
@@ -381,7 +383,7 @@ _CUBE_START = ["--germ", "germs/cube.json", "--start", "0.23,0.0"]
     ],
     ids=[
         "plan-tube-angle-inf", "plan-tube-angle-nan", "monodromy-angle-inf", "fiber-angle-inf",
-        "verify-negative-queries", "verify-zero-knots", "verify-sphere-0", "plan-sphere-dim-0",
+        "verify-negative-queries", "verify-negative-deep", "verify-zero-knots", "verify-sphere-0", "plan-sphere-dim-0",
         "fiber-negative-seeds", "link-few-seeds", "certify-few-seeds", "verify-probe-region-7",
         "verify-probe-region-minus-1", "verify-probe-region-0",
     ],

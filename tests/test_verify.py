@@ -212,3 +212,44 @@ def test_probe_rejects_a_region_the_planner_lacks(m, region):
 def test_probe_is_monotone_helper():
     assert probe_is_monotone([{"max_deviation": 3.0}, {"max_deviation": 1.0}])
     assert not probe_is_monotone([{"max_deviation": 1.0}, {"max_deviation": 1.0}])
+
+
+# --- the planner protocol ---------------------------------------------------------------
+
+# every member `run_contract_suite` and `continuity_probe` may read (README)
+PROTOCOL = (
+    "regions", "delta", "label", "plan_batch", "base_pairs", "sample_queries", "sample_pairs",
+    "end_value", "end_tol", "deep_check", "perturb", "region_paths",
+)
+
+
+class _ProtocolOnly:
+    """Subclasses no planner class and forwards the protocol members alone, so a
+    check that reads anything else (or tests the planner's class) breaks."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        if name not in PROTOCOL:
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+@pytest.mark.parametrize(
+    "make, region",
+    [
+        (lambda: build_planner(2), 3),
+        (lambda: pullback_planner(tube_fibration(brieskorn_germ(2, 3))), 2),
+        (lambda: pullback_planner(rr_arm_workmap()), 1),
+    ],
+    ids=["sphere", "exact-pullback", "numeric-pullback"],
+)
+def test_checks_use_the_planner_protocol_only(make, region):
+    planner = make()
+    double = _ProtocolOnly(planner)
+    for deep in (None, 3):
+        want = run_contract_suite(planner, 40, seed=6, deep=deep).to_dict()
+        assert run_contract_suite(double, 40, seed=6, deep=deep).to_dict() == want
+    want = continuity_probe(planner, region, n_pairs=6, seed=6)
+    assert continuity_probe(double, region, n_pairs=6, seed=6) == want
