@@ -9,11 +9,12 @@ worktree metadata). For each seed, each side runs its own
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` in a
 subprocess, T being BENCHMARK.json's run_seconds; the side that runs
 first alternates from one seed to the next. The result goes to
-`BENCH_<workload>_<parent src>-<change src>.json` at the root of the
-checkout, named by the git tree hashes of the two `src/` directories
-(`dirty` when what the benchmark reads has uncommitted changes): the machine, both
-commits, every end-to-end metric per pair, the medians, the change/parent
-ratio of the medians, win counts and failures.
+`BENCH_<workload>_<parent src>-<change src>_seeds<seeds>.json` at the root of
+the checkout, named by the git tree hashes of the two `src/` directories
+(`dirty` when what the benchmark reads has uncommitted changes) and the seed
+list (`seeds1-10`, `seeds1-3,9`), so a run with other seeds writes another
+file. It holds the machine, both commits, every end-to-end metric per pair,
+the medians, the change/parent ratio of the medians, win counts and failures.
 
 Exit status: 0 when every run passed its checks; 2 when a run of either
 side failed (the file is still written) or an argument is bad.
@@ -42,6 +43,18 @@ def parse_seeds(text: str) -> list[int]:
     if not seeds:
         raise ValueError("no seeds")
     return seeds
+
+
+def output_name(workload: str, parent_src: str, change_src: str, seeds: list[int]) -> str:
+    """The BENCH_*.json file name; the seed list is written as runs, 1-3,9."""
+    runs = []
+    for s in seeds:
+        if runs and s == runs[-1][1] + 1:
+            runs[-1][1] = s
+        else:
+            runs.append([s, s])
+    text = ",".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+    return f"BENCH_{workload}_{parent_src[:7]}-{change_src[:7]}_seeds{text}.json"
 
 
 def git(*args: str) -> str:
@@ -166,7 +179,7 @@ def main(argv=None) -> int:
         "metrics": summarize(spec, pairs),
         "failures": failures,
     }
-    out = ROOT / f"BENCH_{args.workload}_{parent_src[:7]}-{(change_src or 'dirty')[:7]}.json"
+    out = ROOT / output_name(args.workload, parent_src, change_src or "dirty", seeds)
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out.name}", file=sys.stderr)
     for name, m in doc["metrics"].items():

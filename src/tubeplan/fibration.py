@@ -34,7 +34,7 @@ from .geometry import (
     perturb_on_sphere,
     row_norms,
 )
-from .sphere_planner import DEFAULT_MARGIN, Planned, SpherePlanner, build_planner
+from .sphere_planner import DEFAULT_MARGIN, QUERY_NORM_TOL, Planned, SpherePlanner, build_planner
 
 # Choice: 10x the per-kind lift tolerance is how far a start configuration
 # may sit off the base point before lifting refuses the query.
@@ -102,7 +102,7 @@ class ExactCircleOracle:
         off = gaps > 10.0 * self.lift_tol
         if off.any():
             raise ValueError(f"start sits {gaps[off][0]:.3e} off the base point")
-        return self._lift(wm.germ, e, path)
+        return self._lift(wm.germ, e, path, None)
 
     def lift_batch(self, wm: WorkMap, starts: np.ndarray, planned: Planned) -> Planned:
         """`lift` on each block of base paths; the first block with a start off
@@ -111,27 +111,21 @@ class ExactCircleOracle:
         lifts = [(i, rows, self.lift(wm, starts[rows], path)) for i, rows, path in planned.blocks]
         return Planned(planned.size, lifts, planned.refused)
 
-    def _lift(self, germ, x0: np.ndarray, path: PathExpr) -> PathExpr:
-        if isinstance(path, Scaled):
-            inner = path.path
-            if isinstance(inner, Concat):
-                path = Concat(
-                    Scaled(inner.left, path.factor), Scaled(inner.right, path.factor)
-                )
-            elif isinstance(inner, Constant):
-                return Constant(x0)
+    def _lift(self, germ, x0: np.ndarray, path: PathExpr, factor: Optional[float]) -> PathExpr:
+        """Lift path from x0, where factor, unless None, scales every leaf of it."""
+        if isinstance(path, Scaled) and factor is None:
+            return self._lift(germ, x0, path.path, path.factor)
         if isinstance(path, Concat):
-            left = self._lift(germ, x0, path.left)
-            right = self._lift(germ, left.at(1.0), path.right)
-            return Concat(left, right)
+            left = self._lift(germ, x0, path.left, factor)
+            return Concat(left, self._lift(germ, left.at(1.0), path.right, factor))
         if isinstance(path, Constant):
             return Constant(x0)
-        leaf = path.path if isinstance(path, Scaled) else path
-        if not isinstance(leaf, NormalizedSegment):
+        if not isinstance(path, NormalizedSegment):
             raise ValueError(
-                f"cannot lift {type(leaf).__name__} exactly; only normalized chords sweep < pi"
+                f"cannot lift {type(path).__name__} exactly; only normalized chords sweep < pi"
             )
-        return CircleActionLift(germ=germ, start=x0, base=path)
+        base = path if factor is None else Scaled(path, factor)
+        return CircleActionLift(germ=germ, start=x0, base=base)
 
 
 @dataclass(frozen=True)
@@ -298,7 +292,7 @@ class TaskingPlanner:
         the first row with a start or goal off the task sphere raises."""
         fe = self.workmap.f(np.asarray(starts, dtype=float))
         goals = np.asarray(goals, dtype=float)
-        tol = 1e-6 * max(1.0, self.eta)
+        tol = QUERY_NORM_TOL * max(1.0, self.eta)
         off_start = np.abs(row_norms(fe) - self.eta) > tol
         off_goal = np.abs(row_norms(goals) - self.eta) > tol
         off = off_start | off_goal

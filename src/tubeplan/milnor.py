@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -32,10 +31,10 @@ from .geometry import (
     normalize,
     path_from_dict,
 )
+from .sphere_planner import QUERY_NORM_TOL
 
 TRI_STATES = ("yes", "no", "unknown")
 
-FIBER_TOL = 1e-9       # accepted samples satisfy ||f(x) - target|| below this
 TUBE_TOL = 1e-9        # slack on the ball radius for tube and fiber points
 # Choice: floor under the adaptive proximity radius; zero-dimensional fibers
 # collapse each root to a cluster of Newton duplicates whose spacing is pure
@@ -271,17 +270,16 @@ def product_germ() -> Germ:
 # --- tube machinery ----------------------------------------------------------
 
 
-def _ball_seeds(rng: np.random.Generator, k: int, n: int, radius: float) -> np.ndarray:
-    dirs = rng.standard_normal((k, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    r = radius * rng.uniform(size=k) ** (1.0 / n)
-    return dirs * r[:, None]
-
-
 def _sphere_seeds(rng: np.random.Generator, k: int, n: int, radius: float) -> np.ndarray:
     dirs = rng.standard_normal((k, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return radius * dirs
+
+
+def _ball_seeds(rng: np.random.Generator, k: int, n: int, radius: float) -> np.ndarray:
+    dirs = _sphere_seeds(rng, k, n, 1.0)
+    r = radius * rng.uniform(size=k) ** (1.0 / n)
+    return dirs * r[:, None]
 
 
 def _germ_tube_sampler(germ: Germ):
@@ -322,15 +320,15 @@ def tube_fibration(germ: Germ) -> WorkMap:
     )
 
 
-def polish_to_tube(germ: Germ, x: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def polish_to_tube(germ: Germ, x: np.ndarray) -> np.ndarray:
     """Newton-project a nearly-on-tube configuration onto the exact fiber
-    through its current angle. Accepts starts within tol of the tube and
-    returns the polished configuration, inside the ball."""
+    through its current angle. Accepts starts within QUERY_NORM_TOL of the
+    tube and returns the polished configuration, inside the ball."""
     x = np.asarray(x, dtype=float)
     v = germ.f_real(x)
-    nv = float(np.linalg.norm(v))
-    if abs(nv - germ.eta) > tol:
-        raise ValueError(f"start is {abs(nv - germ.eta):.3e} off the tube (tol {tol:.0e})")
+    off = abs(float(np.linalg.norm(v)) - germ.eta)
+    if off > QUERY_NORM_TOL:
+        raise ValueError(f"start is {off:.3e} off the tube (tol {QUERY_NORM_TOL:.0e})")
     target = germ.eta * normalize(v)
     xs, ok = newton_project(germ.f_real, germ.jac_real, x[None, :], target[None, :], tol=1e-14)
     if not ok[0]:
@@ -344,7 +342,7 @@ def circle_action_lift(germ: Germ, x0: np.ndarray, dphi: float) -> CircleActionL
     """Exact lift of the constant-speed value arc sweeping dphi radians."""
     x0 = np.asarray(x0, dtype=float)
     v = germ.f_real(x0)
-    if abs(float(np.linalg.norm(v)) - germ.eta) > 1e-6 * max(1.0, germ.eta):
+    if abs(float(np.linalg.norm(v)) - germ.eta) > QUERY_NORM_TOL * max(1.0, germ.eta):
         raise ValueError("lift start must sit on the tube")
     return CircleActionLift(germ=germ, start=x0, dphi=float(dphi))
 
@@ -363,6 +361,7 @@ class FiberSample:
     radius: float
     n_seeds: int
     seed: int
+    tree: object = field(repr=False, compare=False)  # _cluster's k-d tree; monodromy reuses it
 
     @property
     def n_converged(self) -> int:
@@ -370,11 +369,6 @@ class FiberSample:
 
     def component_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_components)
-
-    @cached_property
-    def tree(self):
-        """k-d tree over the samples, built once per fiber."""
-        return _kdtree(self.points)
 
 
 def _kdtree(points: np.ndarray):
@@ -399,8 +393,8 @@ def _union_roots(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
             parent = jumped
 
 
-def _cluster(points: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Components of the graph joining samples at most `radius` apart.
+def _cluster(points: np.ndarray) -> tuple[np.ndarray, int, float, object]:
+    """Components of the graph joining samples at most `radius` apart, and the k-d tree.
 
     Labels number the components by their lowest point index. The graph is
     never listed: its k-NN edges plus one exact repair pass join the same
@@ -412,7 +406,8 @@ def _cluster(points: np.ndarray) -> tuple[np.ndarray, int, float]:
     # median-based radius falsely fragments it. Point-like fibers have
     # near-duplicate samples, so max-NN stays many orders below the
     # spacing between distinct roots and never over-merges them.
-    dist, idx = _kdtree(points).query(points, k=CLUSTER_K + 1)
+    tree = _kdtree(points)
+    dist, idx = tree.query(points, k=CLUSTER_K + 1)
     radius = max(3.0 * float(dist[:, 1].max()), RADIUS_FLOOR)
     near = dist <= radius
     root = _union_roots(np.arange(points.shape[0]), np.nonzero(near)[0], idx[near])
@@ -433,7 +428,7 @@ def _cluster(points: np.ndarray) -> tuple[np.ndarray, int, float]:
             eb.append(mine[j][d <= radius])
         root = _union_roots(root, np.concatenate(ea), np.concatenate(eb))
     roots, labels = np.unique(root, return_inverse=True)
-    return labels, roots.size, radius
+    return labels, roots.size, radius, tree
 
 
 def sample_workmap_fiber(
@@ -441,34 +436,29 @@ def sample_workmap_fiber(
     base_point: np.ndarray,
     n_seeds: int = 1500,
     seed: int = 0,
-    seed_radius: Optional[float] = None,
-    max_norm: Optional[float] = None,
 ) -> FiberSample:
     """Sample the fiber of a work map over one base value.
 
-    Uniform seeds in a ball are Newton-projected onto {f(x) = base};
-    non-converged and out-of-ball seeds are dropped. Components come
-    from a proximity graph with radius 3x the largest neighbor gap.
+    Uniform seeds in the germ's epsilon ball (the unit ball if no germ) are
+    Newton-projected onto {f(x) = base}; failures and points off a germ's ball
+    drop out. Components: a proximity graph of radius 3x the largest neighbor gap.
     """
     if n_seeds < 100:
         raise ValueError("need at least 100 seeds for a meaningful fiber sample")
     base_point = np.asarray(base_point, dtype=float)
     rng = np.random.default_rng(seed)
-    if seed_radius is None:
-        seed_radius = 1.0
-    seeds = _ball_seeds(rng, n_seeds, wm.n, seed_radius)
+    germ = wm.germ
+    seeds = _ball_seeds(rng, n_seeds, wm.n, 1.0 if germ is None else germ.epsilon)
     targets = np.broadcast_to(base_point, (n_seeds, wm.p)).copy()
     xs, ok = newton_project(wm.f, wm.jac, seeds, targets, tol=1e-12)
-    if np.any(ok):
-        ok[ok] &= np.linalg.norm(wm.f(xs[ok]) - targets[ok], axis=1) <= FIBER_TOL
-    if max_norm is not None:
-        ok &= np.linalg.norm(xs, axis=1) <= max_norm + TUBE_TOL
+    if germ is not None:
+        ok &= np.linalg.norm(xs, axis=1) <= germ.epsilon + TUBE_TOL
     points = xs[ok]
     if points.shape[0] < 20:
         raise TooFewPoints(
             f"only {points.shape[0]} of {n_seeds} seeds converged onto the fiber"
         )
-    labels, n_comp, radius = _cluster(points)
+    labels, n_comp, radius, tree = _cluster(points)
     return FiberSample(
         base_point=base_point,
         points=points,
@@ -477,20 +467,14 @@ def sample_workmap_fiber(
         radius=radius,
         n_seeds=n_seeds,
         seed=seed,
+        tree=tree,
     )
 
 
 def sample_fiber(germ: Germ, phi: float = 0.0, n_seeds: int = 1500, seed: int = 0) -> FiberSample:
     """Sample the germ fiber over eta * exp(i phi) inside the epsilon ball."""
     base = germ.eta * np.array([math.cos(phi), math.sin(phi)])
-    return sample_workmap_fiber(
-        tube_fibration(germ),
-        base,
-        n_seeds=n_seeds,
-        seed=seed,
-        seed_radius=germ.epsilon,
-        max_norm=germ.epsilon,
-    )
+    return sample_workmap_fiber(tube_fibration(germ), base, n_seeds, seed)
 
 
 @dataclass(frozen=True)
@@ -525,10 +509,7 @@ def sample_link(germ: Germ, n_seeds: int = 1000, seed: int = 0) -> LinkSample:
         Js = (2.0 * x)[:, None, :]
         return np.concatenate([Jf, Js], axis=1)
 
-    targets = np.zeros((n_seeds, 3))
-    xs, ok = newton_project(f, jac, seeds, targets, tol=1e-12)
-    if np.any(ok):
-        ok[ok] &= np.linalg.norm(f(xs[ok]), axis=1) <= FIBER_TOL
+    xs, ok = newton_project(f, jac, seeds, np.zeros((n_seeds, 3)), tol=1e-12)
     points = xs[ok]
     return LinkSample(
         points=points,

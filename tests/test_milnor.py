@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import tubeplan
+from tubeplan import milnor
 from tubeplan.errors import AmbiguousAssignment, TooFewPoints
 from tubeplan.fibration import rr_arm_workmap
 from tubeplan.milnor import (
@@ -249,7 +250,7 @@ def test_fiber_points_satisfy_constraint():
     fs = sample_fiber(germ, phi=0.7, n_seeds=400, seed=1)
     want = germ.eta * np.array([math.cos(0.7), math.sin(0.7)])
     resid = np.linalg.norm(germ.f_real(fs.points) - want, axis=1).max()
-    assert resid < 1e-9
+    assert resid <= 1e-12
     # closed form: the roots all sit at radius eta^(1/3)
     assert np.abs(np.linalg.norm(fs.points, axis=1) - germ.eta ** (1 / 3)).max() < 1e-9
 
@@ -280,6 +281,34 @@ def test_arm_fiber_sampler_converges_onto_the_fiber():
     assert np.abs(fs.points - [math.asin(0.8), 0.0]).max() < 1e-9
 
 
+@pytest.mark.parametrize("germ", [power_germ(3), brieskorn_germ(2, 3)], ids=lambda g: g.name)
+def test_workmap_fiber_of_a_tube_is_the_germ_fiber(germ):
+    # the work map decides the seed ball and the ball filter: a germ-backed
+    # map seeds in, and keeps only points inside, the epsilon ball
+    phi = 0.4
+    base = germ.eta * np.array([math.cos(phi), math.sin(phi)])
+    got = sample_workmap_fiber(tube_fibration(germ), base, 400, 3)
+    want = sample_fiber(germ, phi, 400, 3)
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.radius == want.radius
+    assert np.linalg.norm(got.points, axis=1).max() <= germ.epsilon + 1e-9
+
+
+def test_one_kdtree_serves_clustering_and_monodromy(monkeypatch):
+    germ = power_germ(3)
+    real, built = milnor._kdtree, []
+
+    def counted(points):
+        built.append(points.shape[0])
+        return real(points)
+
+    monkeypatch.setattr(milnor, "_kdtree", counted)
+    fs = sample_fiber(germ, n_seeds=400, seed=0)
+    monodromy_components(germ, fs)
+    assert built.count(fs.n_converged) == 1
+
+
 def _reference_labels(points, radius):
     """Plain union-find over the proximity pairs; components are numbered
     in the order of their lowest point index."""
@@ -304,7 +333,7 @@ CLUSTER_GERMS.update({f"z^{d}": power_germ(d) for d in range(1, 6)})
 @pytest.mark.parametrize("name", sorted(CLUSTER_GERMS))
 def test_cluster_labels_match_reference_union_find(name):
     points = sample_fiber(CLUSTER_GERMS[name], n_seeds=600, seed=5).points
-    labels, n_comp, radius = _cluster(points)
+    labels, n_comp, radius, _ = _cluster(points)
     want = _reference_labels(points, radius)
     assert np.array_equal(labels, want)
     assert n_comp == want.max() + 1
@@ -331,7 +360,7 @@ def _adversarial_cloud(rng):
 def test_cluster_matches_reference_on_adversarial_clouds():
     for seed in range(300):
         points = _adversarial_cloud(np.random.default_rng(seed))
-        labels, n_comp, radius = _cluster(points)
+        labels, n_comp, radius, _ = _cluster(points)
         want = _reference_labels(points, radius)
         assert np.array_equal(labels, want), seed
         assert n_comp == want.max() + 1
@@ -347,7 +376,7 @@ def test_cluster_joins_clumps_whose_knn_graphs_are_disjoint():
     near = cKDTree(points).query(points, k=CLUSTER_K + 1)[1]
     side = np.arange(points.shape[0]) // clump.shape[0]
     assert np.all(side[near[: 2 * clump.shape[0]]] == side[: 2 * clump.shape[0], None])
-    labels, n_comp, radius = _cluster(points)
+    labels, n_comp, radius, _ = _cluster(points)
     assert radius == pytest.approx(0.15)
     assert n_comp == 2
     assert np.array_equal(labels, _reference_labels(points, radius))
@@ -380,7 +409,7 @@ def test_link_nonempty_for_brieskorn():
     assert ls.evidence == "yes"
     assert ls.points.shape[0] >= 1
     vals = germ.f_real(ls.points)
-    assert np.linalg.norm(vals, axis=1).max() < 1e-9
+    assert np.linalg.norm(vals, axis=1).max() <= 1e-12
     assert np.abs(np.linalg.norm(ls.points, axis=1) - germ.epsilon).max() < 1e-9
 
 
