@@ -110,6 +110,9 @@ def commands() -> list[tuple[str, list[str]]]:
         ("verify-probe-region-7", ["verify", "--sphere", "2", "--queries", "10",
                                    "--probe-region", "7"]),
         ("verify-negative-deep", ["verify", "--sphere", "2", "--queries", "5", "--deep", "-3"]),
+        # two-variable monodromy transport
+        ("monodromy-b23", ["monodromy", "--germ", B23, "--seed", "3"]),
+        ("monodromy-two-factor", ["monodromy", "--germ", "germs/two_factor.json", "--seed", "3"]),
     ]
 
 

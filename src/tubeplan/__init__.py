@@ -28,7 +28,6 @@ from .fibration import (
 from .geometry import (
     CircleActionLift,
     Concat,
-    Constant,
     NormalizedSegment,
     NumericLift,
     PathExpr,
@@ -52,7 +51,6 @@ from .milnor import (
     LinkSample,
     RegularityProbe,
     brieskorn_germ,
-    circle_action_lift,
     hopf_germ,
     load_germ,
     monodromy_components,
@@ -75,7 +73,6 @@ from .sphere_planner import (
     chart_planner,
     detour_planner_even,
     detour_planner_odd,
-    random_sphere_point,
     segment_planner,
 )
 from .verify import (

@@ -23,13 +23,12 @@ from .geometry import (
     LIFT_NEWTON_TOL,
     CircleActionLift,
     Concat,
-    Constant,
     NormalizedSegment,
     NumericLift,
     PathExpr,
     Scaled,
     gauss_newton_step,
-    newton_project,  # re-exported: tests and tools import it from here
+    newton_project,
     normalize,
     perturb_on_sphere,
     row_norms,
@@ -118,8 +117,6 @@ class ExactCircleOracle:
         if isinstance(path, Concat):
             left = self._lift(germ, x0, path.left, factor)
             return Concat(left, self._lift(germ, left.at(1.0), path.right, factor))
-        if isinstance(path, Constant):
-            return Constant(x0)
         if not isinstance(path, NormalizedSegment):
             raise ValueError(
                 f"cannot lift {type(path).__name__} exactly; only normalized chords sweep < pi"

@@ -275,29 +275,6 @@ class PathExpr:
         return out
 
 
-@dataclass(frozen=True)
-class Constant(PathExpr):
-    point: np.ndarray
-
-    _rowwise = ("point",)
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-
-    @property
-    def shape(self) -> tuple:
-        return self.point.shape
-
-    def _eval(self, t: float) -> np.ndarray:
-        return self.point.copy()
-
-    def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
-        return np.repeat(self.point[..., None, :], ts.shape[0], axis=-2)
-
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "point": self.point.tolist()}
-
-
 def _endpoints(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -449,56 +426,44 @@ def _complex_to_interleaved(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CircleActionLift(PathExpr):
-    """Lift through the weighted circle action of a plane-valued germ.
+    """Lift of a plane-valued base path through the weighted circle action
+    of a germ.
 
     Rotates the start point by angle(t)/degree in each weighted
-    coordinate. Two modes:
-
-      * base given: angle(t) is the plane angle of base(t) relative to
-        base(0). Pointwise exact provided the base piece sweeps less
-        than a half turn, which holds for every normalized chord.
-      * dphi given: angle(t) = dphi * t, a constant-speed arc; this is
-        the full-loop form used for monodromy transport.
+    coordinate, where angle(t) is the plane angle of base(t) relative to
+    base(0). Pointwise exact provided the base piece sweeps less than a
+    half turn, which holds for every normalized chord.
     """
 
     germ: object                      # needs .weights, .degree, .to_dict()
     start: np.ndarray
-    dphi: Optional[float] = None
-    base: Optional[PathExpr] = None
+    base: PathExpr
 
     _rowwise = ("start", "_z0", "_w0")
 
     def __post_init__(self):
-        if (self.dphi is None) == (self.base is None):
-            raise ValueError("exactly one of dphi / base must be given")
         object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
         object.__setattr__(self, "_z0", _interleaved_to_complex(self.start))
         object.__setattr__(self, "_w", np.asarray(self.germ.weights, dtype=float))
-        if self.base is not None:
-            w0 = self.base.at(0.0)
-            if w0.shape != self.start.shape[:-1] + (2,):
-                raise ValueError("circle-action lifting needs a plane-valued base path")
-            object.__setattr__(self, "_w0", w0)
+        w0 = self.base.at(0.0)
+        if w0.shape != self.start.shape[:-1] + (2,):
+            raise ValueError("circle-action lifting needs a plane-valued base path")
+        object.__setattr__(self, "_w0", w0)
 
     @property
     def shape(self) -> tuple:
         return self.start.shape
 
-    def _angles(self, ts: np.ndarray) -> np.ndarray:
-        if self.dphi is not None:
-            return self.dphi * ts / float(self.germ.degree)
+    def _eval(self, t: float) -> np.ndarray:
+        return self._eval_batch(np.array([t]))[..., 0, :]
+
+    def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
         w0 = self._w0[..., None, :]
         wt = self.base.sample(ts)
         # relative plane angle in (-pi, pi]; exact for sub-half-turn pieces
         dot = wt[..., 0] * w0[..., 0] + wt[..., 1] * w0[..., 1]
         crs = wt[..., 1] * w0[..., 0] - wt[..., 0] * w0[..., 1]
-        return np.arctan2(crs, dot) / float(self.germ.degree)
-
-    def _eval(self, t: float) -> np.ndarray:
-        return self._eval_batch(np.array([t]))[..., 0, :]
-
-    def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
-        theta = self._angles(ts)
+        theta = np.arctan2(crs, dot) / float(self.germ.degree)
         # theta[..., None] * w holds the products np.outer(theta, w) forms
         z = self._z0[..., None, :] * np.exp(1j * (theta[..., None] * self._w))
         return _complex_to_interleaved(z)
@@ -508,8 +473,8 @@ class CircleActionLift(PathExpr):
             "kind": "circle_action_lift",
             "germ": self.germ.to_dict(),
             "start": self.start.tolist(),
-            "dphi": None if self.dphi is None else float(self.dphi),
-            "base": None if self.base is None else self.base.to_dict(),
+            "dphi": None,  # always null; kept so that path JSON keeps its bytes
+            "base": self.base.to_dict(),
         }
 
 
@@ -589,8 +554,6 @@ def path_from_dict(d: dict) -> PathExpr:
     kind with a missing or mistyped field, raises ValueError."""
     kind = d.get("kind") if isinstance(d, dict) else None
     try:
-        if kind == "constant":
-            return Constant(np.asarray(d["point"]))
         if kind == "normalized_segment":
             return NormalizedSegment(np.asarray(d["a"]), np.asarray(d["b"]))
         if kind == "stereo_segment":

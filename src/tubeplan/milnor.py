@@ -27,6 +27,8 @@ from .geometry import (
     CircleActionLift,
     NumericLift,
     PathExpr,
+    _complex_to_interleaved,
+    _interleaved_to_complex,
     newton_project,
     normalize,
     path_from_dict,
@@ -338,15 +340,6 @@ def polish_to_tube(germ: Germ, x: np.ndarray) -> np.ndarray:
     return xs[0]
 
 
-def circle_action_lift(germ: Germ, x0: np.ndarray, dphi: float) -> CircleActionLift:
-    """Exact lift of the constant-speed value arc sweeping dphi radians."""
-    x0 = np.asarray(x0, dtype=float)
-    v = germ.f_real(x0)
-    if abs(float(np.linalg.norm(v)) - germ.eta) > QUERY_NORM_TOL * max(1.0, germ.eta):
-        raise ValueError("lift start must sit on the tube")
-    return CircleActionLift(germ=germ, start=x0, dphi=float(dphi))
-
-
 # --- fiber and link sampling -------------------------------------------------
 
 
@@ -526,9 +519,12 @@ def monodromy_components(germ: Germ, fiber: FiberSample) -> np.ndarray:
     """Transport one representative per component around the full value
     circle and return the induced permutation of component labels."""
     perm = np.full(fiber.n_components, -1, dtype=int)
+    # the loop's endpoint is h(z)_j = exp(2 pi i w_j / d) z_j, the circle action at 2 pi / d
+    weights = np.asarray(germ.weights, dtype=float)
+    turn = np.exp(1j * ((2.0 * math.pi / float(germ.degree)) * weights))
     for comp in range(fiber.n_components):
         rep = fiber.points[int(np.argmax(fiber.labels == comp))]
-        end = circle_action_lift(germ, rep, 2.0 * math.pi).at(1.0)
+        end = _complex_to_interleaved(_interleaved_to_complex(rep) * turn)
         hit_labels = fiber.labels[fiber.tree.query_ball_point(end, fiber.radius)]
         if hit_labels.size == 0 or hit_labels.min() != hit_labels.max():
             raise AmbiguousAssignment(
@@ -676,14 +672,13 @@ NAMED_WORKMAPS = {"rr_arm": rr_arm_workmap, "hopf": hopf_germ}
 
 def lift_from_dict(d: dict) -> PathExpr:
     """The lift nodes of `geometry.path_from_dict`, which carry germs and work maps."""
-    base = path_from_dict(d["base"]) if d.get("base") else None
     if d["kind"] == "circle_action_lift":
         return CircleActionLift(
             germ=Germ.from_dict(d["germ"]),
             start=np.asarray(d["start"], dtype=float),
-            dphi=None if d.get("dphi") is None else float(d["dphi"]),
-            base=base,
+            base=path_from_dict(d["base"]),
         )
+    base = path_from_dict(d["base"]) if d.get("base") else None
     w = d.get("workmap") or {}
     if w.get("kind") == "germ":
         wm = tube_fibration(Germ.from_dict(w["germ"]))

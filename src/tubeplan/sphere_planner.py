@@ -214,11 +214,13 @@ class SpherePlanner:
         bad row raises what `plan` raises on it."""
         blocks = [np.asarray(b, dtype=float) for b in (starts, goals)]
         if any(b.shape[1:] != (self.m + 1,) for b in blocks):
-            self.plan(blocks[0][0], blocks[1][0])  # no row has the right shape: row 0 raises
+            for b in blocks:  # no row has the right shape: row 0 raises
+                self._check_point(b[0])
         norms = [row_norms(b) for b in blocks]
         ok = [np.abs(n - 1.0) <= QUERY_NORM_TOL for n in norms]  # NaN fails too
         for i in np.flatnonzero(~(ok[0] & ok[1]))[:1]:
-            self.plan(blocks[0][i], blocks[1][i])  # raises the first bad row's error
+            for b in blocks:  # the first bad row's error: its start, then its goal
+                self._check_point(b[i])
         t1s, t2s = (b / n[:, None] for b, n in zip(blocks, norms))
         return t1s, t2s
 
@@ -286,8 +288,3 @@ def build_planner(m: int, delta: float = DEFAULT_MARGIN) -> SpherePlanner:
             Region(3, "detour", _margin_detour_even, detour_planner_even),
         )
     return SpherePlanner(m=m, delta=float(delta), regions=regions)
-
-
-def random_sphere_point(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Uniform point on S^m (normalized Gaussian)."""
-    return normalize(rng.standard_normal(m + 1))

@@ -131,6 +131,25 @@ def test_a_bad_row_raises_what_the_row_loop_raises(name, case):
     assert str(batched.value) == str(per_row.value)
 
 
+@pytest.mark.parametrize("how", ["nan", "shape"])
+def test_a_bad_row_raises_without_a_scalar_plan(how, monkeypatch):
+    # the point checks alone raise a bad row's error: a call to plan would be
+    # one more plan to whatever counts plans
+    planner = build_planner(2)
+    starts, goals = _queries(planner, np.random.default_rng(9), 12)
+    if how == "nan":
+        goals[4, 0] = np.nan
+    else:
+        goals = goals[:, :2]
+
+    def no_plan(*args):
+        raise AssertionError("plan_batch called SpherePlanner.plan")
+
+    monkeypatch.setattr(SpherePlanner, "plan", no_plan)
+    with pytest.raises(ValueError, match="non-finite" if how == "nan" else "expected a point"):
+        planner.plan_batch(starts, goals)
+
+
 @dataclasses.dataclass(frozen=True)
 class _LastRegion(SpherePlanner):
     """Sends a query to the highest-index region that accepts it, so the

@@ -28,7 +28,6 @@ from tubeplan.fibration import (
 )
 from tubeplan.geometry import (
     LIFT_NEWTON_ITERS,
-    Constant,
     NormalizedSegment,
     NumericLift,
     Scaled,
@@ -257,7 +256,8 @@ def test_exact_lift_constant_base_is_constant():
     germ = power_germ(2)
     wm = tube_fibration(germ)
     e = np.array([math.sqrt(germ.eta), 0.0])
-    lam = ExactCircleOracle().lift(wm, e, Constant(point=wm.f(e)))
+    u = np.array([1.0, 0.0])  # f(e) = eta: the constant base is the chord from u to u
+    lam = ExactCircleOracle().lift(wm, e, Scaled(NormalizedSegment(u, u), germ.eta))
     for t in (0.0, 0.5, 1.0):
         assert np.linalg.norm(lam.at(t) - e) < 1e-15
 
@@ -266,7 +266,8 @@ def test_exact_lift_rejects_detached_start():
     germ = power_germ(2)
     wm = tube_fibration(germ)
     e = np.array([math.sqrt(germ.eta) * 1.5, 0.0])
-    base = Constant(point=germ.eta * np.array([1.0, 0.0]))
+    u = np.array([1.0, 0.0])
+    base = Scaled(NormalizedSegment(u, u), germ.eta)
     with pytest.raises(ValueError):
         ExactCircleOracle().lift(wm, e, base)
 
@@ -348,11 +349,12 @@ def test_numeric_lift_arm_samples_between_knots_sit_on_base_path():
 
 def test_numeric_lift_refinement_failure_raises():
     # no arm configuration maps to a value of norm 2, so refinement cannot converge
+    up = np.array([0.0, 0.0, 1.0])
     lam = NumericLift(
         knots=np.array([0.0, 1.0]),
         points=np.array([[0.1, 0.2], [0.3, 0.4]]),
         workmap=rr_arm_workmap(),
-        base=Constant(point=np.array([0.0, 0.0, 2.0])),
+        base=Scaled(NormalizedSegment(up, up), 2.0),
     )
     assert np.array_equal(lam.at(1.0), [0.3, 0.4])  # knots are returned as stored
     with pytest.raises(LiftFailure) as err:

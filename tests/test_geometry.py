@@ -24,7 +24,6 @@ from tubeplan.errors import (
 from tubeplan.fibration import NumericOracle, pullback_planner, rr_arm_workmap
 from tubeplan.geometry import (
     Concat,
-    Constant,
     NormalizedSegment,
     NumericLift,
     Scaled,
@@ -39,7 +38,7 @@ from tubeplan.geometry import (
     tangent_odd,
     write_path_csv,
 )
-from tubeplan.milnor import brieskorn_germ, circle_action_lift, hopf_germ, tube_fibration
+from tubeplan.milnor import brieskorn_germ, hopf_germ, tube_fibration
 
 from conftest import random_unit, unit
 
@@ -169,10 +168,13 @@ def test_parallelogram_law_bulk(rng):
 
 
 def test_constant_everywhere():
-    x = np.array([0.3, -0.4, 0.5])
-    c = Constant(point=x)
+    # a constant path is the chord from a unit point to itself: (1-t)x + t x
+    # rounds to x, and x / ||x|| is x, bit for bit for this x
+    x = np.array([0.6, -0.8, 0.0])
+    c = NormalizedSegment(a=x, b=x)
     for t in (0.0, 0.25, 1.0):
         assert np.array_equal(c.at(t), x)
+    assert np.array_equal(c.sample(np.linspace(0, 1, 33)), np.tile(x, (33, 1)))
 
 
 def test_normalized_segment_midpoint():
@@ -245,7 +247,7 @@ def test_scaled_path():
 
 
 def test_domain_guard():
-    c = Constant(point=np.array([1.0, 0.0]))
+    c = NormalizedSegment(a=np.array([1.0, 0.0]), b=np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
         c.at(1.001)
     with pytest.raises(DomainError):
@@ -285,16 +287,13 @@ def test_json_round_trip_nested():
     assert d["path"]["kind"] == "concat"
 
 
-NODE_KINDS = ["constant", "normalized_segment", "stereo_segment", "concat", "scaled",
-              "exact_tube", "circle_action_arc", "arm", "hopf", "germ_tube_numeric",
-              "no_workmap"]
+NODE_KINDS = ["normalized_segment", "stereo_segment", "concat", "scaled",
+              "exact_tube", "arm", "hopf", "germ_tube_numeric", "no_workmap"]
 
 
 def _path_of_kind(kind):
     """One path whose tree holds the named node kind or work-map descriptor."""
     a, b, c = unit([1.0, 0.1, 0.0]), unit([0.0, 1.0, 0.2]), unit([-1.0, 0.3, 0.1])
-    if kind == "constant":
-        return Constant(np.array([0.5, -0.25, 1.0]))
     if kind == "normalized_segment":
         return NormalizedSegment(a=a, b=b)
     if kind == "stereo_segment":
@@ -308,8 +307,6 @@ def _path_of_kind(kind):
     rng = np.random.default_rng(3)
     germ = brieskorn_germ(2, 3)
     tube = tube_fibration(germ)
-    if kind == "circle_action_arc":
-        return circle_action_lift(germ, tube.sample(rng, 1)[0], 1.3)
     wm = {"arm": rr_arm_workmap(), "hopf": hopf_germ()}.get(kind, tube)
     oracle = NumericOracle() if kind != "exact_tube" else None
     goal = wm.eta * normalize(np.array([0.6, 0.3, 0.5][: wm.p]))
@@ -346,14 +343,30 @@ def test_from_dict_rejects_unknown_kind():
         path_from_dict({"kind": "wormhole"})
     with pytest.raises(ValueError):
         path_from_dict({})
+    # no node is constant: a constant path is the chord from a point to itself
+    with pytest.raises(ValueError, match="unknown path node kind 'constant'"):
+        path_from_dict({"kind": "constant", "point": [1.0]})
+
+
+@pytest.mark.parametrize("dphi", [None, 2.0 * math.pi], ids=["no-dphi", "full-arc"])
+def test_from_dict_rejects_a_circle_action_lift_without_base(dphi):
+    # a circle-action lift always lifts a base path: a null base is malformed,
+    # with or without a dphi
+    d = json.loads(_node_json("exact_tube"))
+    while d["kind"] != "circle_action_lift":
+        d = d["left"] if d["kind"] == "concat" else d["path"]
+    assert d["dphi"] is None and d["base"] is not None
+    path_from_dict(d)
+    with pytest.raises(ValueError):
+        path_from_dict({**d, "dphi": dphi, "base": None})
 
 
 @pytest.mark.parametrize(
     "d",
     [
-        {"kind": "constant"},
-        {"kind": "scaled", "path": {"kind": "constant", "point": [1.0]}, "factor": None},
-        {"kind": "concat", "left": {"kind": "constant", "point": [1.0]}},
+        {"kind": "scaled", "path": {"kind": "normalized_segment", "a": [1.0], "b": [1.0]},
+         "factor": None},
+        {"kind": "concat", "left": {"kind": "normalized_segment", "a": [1.0], "b": [1.0]}},
         {"kind": "normalized_segment", "a": [1.0, 0.0]},
         {"kind": "numeric_lift", "knots": [0.0, 1.0], "points": [[0.0], [1.0]],
          "workmap": {"kind": "named", "name": "x"}},

@@ -30,7 +30,6 @@ from tubeplan.milnor import (
     Germ,
     GermFlags,
     brieskorn_germ,
-    circle_action_lift,
     hopf_germ,
     load_germ,
     monodromy_components,
@@ -192,47 +191,53 @@ def test_polish_within_tolerance_only():
         polish_to_tube(germ, np.array([r + 0.01, 0.0]))
 
 
-# --- exact lifting ---------------------------------------------------------------
+# --- the monodromy map h -----------------------------------------------------------
+
+MONODROMY_GERMS = {
+    **{f"z^{d}": (lambda d=d: power_germ(d)) for d in range(1, 6)},
+    "z^2+w^3": lambda: brieskorn_germ(2, 3),
+    "z*w": lambda: load_germ(GERM_DIR / "two_factor.json"),
+}
 
 
-def test_circle_action_endpoint_closed_form():
-    germ = power_germ(2)
-    r = math.sqrt(germ.eta)
-    lam = circle_action_lift(germ, np.array([r, 0.0]), math.pi / 2)
-    want = r * cmath.exp(1j * math.pi / 4)
-    end = lam.at(1.0)
-    assert abs(complex(end[0], end[1]) - want) < 1e-15
+def _h(germ, x):
+    """h(z)_j = exp(2 pi i w_j / d) z_j on interleaved rows: the weighted
+    circle action at angle 2 pi / d, the monodromy of a weighted-homogeneous germ."""
+    turn = np.exp(2j * np.pi * np.array(germ.weights) / germ.degree)
+    z = (x[..., 0::2] + 1j * x[..., 1::2]) * turn
+    out = np.empty_like(x)
+    out[..., 0::2], out[..., 1::2] = z.real, z.imag
+    return out
 
 
-def test_circle_action_zero_angle_is_constant():
-    germ = power_germ(2)
-    r = math.sqrt(germ.eta)
-    lam = circle_action_lift(germ, np.array([r, 0.0]), 0.0)
-    ts = np.linspace(0, 1, 64)
-    assert np.abs(lam.sample(ts) - np.array([r, 0.0])).max() == 0.0
+def test_circle_action_preserves_norm_and_projects():
+    # h keeps ||x||, keeps f(x) (f(h z) = exp(2 pi i) f(z)), and has order d
+    for name, make in MONODROMY_GERMS.items():
+        germ = make()
+        x = tube_fibration(germ).sample(np.random.default_rng(7), 200)
+        hx = _h(germ, x)
+        assert np.abs(np.linalg.norm(hx, axis=1) - np.linalg.norm(x, axis=1)).max() <= 1e-15, name
+        assert np.abs(germ.f_real(hx) - germ.f_real(x)).max() <= 1e-15, name
+        hdx = x
+        for _ in range(germ.degree):
+            hdx = _h(germ, hdx)
+        assert np.abs(hdx - x).max() <= 1e-14, name
 
 
-def test_circle_action_preserves_norm_and_projects(rng):
-    germ = brieskorn_germ(2, 3)
-    wm = tube_fibration(germ)
-    x0 = wm.sample(rng, 1)[0]
-    dphi = 2.7
-    lam = circle_action_lift(germ, x0, dphi)
-    ts = np.linspace(0, 1, 256)
-    pts = lam.sample(ts)
-    assert np.abs(np.linalg.norm(pts, axis=1) - np.linalg.norm(x0)).max() <= 1e-12
-    # values rotate at constant speed
-    v0 = complex(*germ.f_real(x0))
-    vals = germ.f_real(pts)
-    want = np.array([v0 * cmath.exp(1j * dphi * t) for t in ts])
-    got = vals[:, 0] + 1j * vals[:, 1]
-    assert np.abs(got - want).max() <= 1e-12
+@pytest.mark.parametrize("name", ["z^3", "z^2+w^3", "z*w"])
+def test_monodromy_looks_up_h_of_each_representative(name):
+    germ = MONODROMY_GERMS[name]()
+    fs = sample_fiber(germ, phi=0.3, n_seeds=600, seed=1)
+    asked = []
 
+    class Recorder:
+        def query_ball_point(self, x, r):
+            asked.append(x)
+            return fs.tree.query_ball_point(x, r)
 
-def test_circle_action_requires_tube_start():
-    germ = power_germ(2)
-    with pytest.raises(ValueError):
-        circle_action_lift(germ, np.array([1.0, 0.0]), 1.0)
+    monodromy_components(germ, replace(fs, tree=Recorder()))
+    reps = fs.points[[int(np.argmax(fs.labels == c)) for c in range(fs.n_components)]]
+    assert np.abs(np.array(asked) - _h(germ, reps)).max() <= 1e-15
 
 
 # --- fiber sampling ----------------------------------------------------------------

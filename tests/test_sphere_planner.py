@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubeplan.errors import AntipodalPair, AtPole, BadMargin, EqualPair, PoleOfField, Uncovered
+from tubeplan.geometry import normalize
 from tubeplan.sphere_planner import (
     DEFAULT_MARGIN,
     build_planner,
     chart_planner,
     detour_planner_even,
     detour_planner_odd,
-    random_sphere_point,
     segment_planner,
 )
 
@@ -199,8 +199,8 @@ def test_coverage_bulk(rng):
     for m in (1, 2, 3, 4):
         pl = build_planner(m)
         for _ in range(5000):
-            a = random_sphere_point(rng, m)
-            b = random_sphere_point(rng, m)
+            a = normalize(rng.standard_normal(m + 1))
+            b = normalize(rng.standard_normal(m + 1))
             idx = pl.dispatch(a, b)
             assert 1 <= idx <= len(pl.regions)
 
@@ -222,7 +222,7 @@ def test_dispatch_is_minimal_index(rng):
     pl = build_planner(2)
     hits = set()
     for _ in range(3000):
-        a, b = random_sphere_point(rng, 2), random_sphere_point(rng, 2)
+        a, b = normalize(rng.standard_normal(3)), normalize(rng.standard_normal(3))
         idx = pl.dispatch(a, b)
         hits.add(idx)
         for r in pl.regions:
@@ -234,7 +234,7 @@ def test_dispatch_is_minimal_index(rng):
 
 def test_same_query_same_path(rng):
     pl = build_planner(2)
-    a, b = random_sphere_point(rng, 2), random_sphere_point(rng, 2)
+    a, b = normalize(rng.standard_normal(3)), normalize(rng.standard_normal(3))
     _, p1 = pl.plan(a, b)
     _, p2 = pl.plan(a, b)
     ts = np.linspace(0, 1, 64)
