@@ -194,9 +194,9 @@ def test_polish_within_tolerance_only():
 # --- the monodromy map h -----------------------------------------------------------
 
 MONODROMY_GERMS = {
-    **{f"z^{d}": (lambda d=d: power_germ(d)) for d in range(1, 6)},
-    "z^2+w^3": lambda: brieskorn_germ(2, 3),
-    "z*w": lambda: load_germ(GERM_DIR / "two_factor.json"),
+    **{f"z^{d}": power_germ(d) for d in range(1, 6)},
+    "z^2+w^3": brieskorn_germ(2, 3),
+    "z*w": load_germ(GERM_DIR / "two_factor.json"),
 }
 
 
@@ -212,8 +212,7 @@ def _h(germ, x):
 
 def test_circle_action_preserves_norm_and_projects():
     # h keeps ||x||, keeps f(x) (f(h z) = exp(2 pi i) f(z)), and has order d
-    for name, make in MONODROMY_GERMS.items():
-        germ = make()
+    for name, germ in MONODROMY_GERMS.items():
         x = tube_fibration(germ).sample(np.random.default_rng(7), 200)
         hx = _h(germ, x)
         assert np.abs(np.linalg.norm(hx, axis=1) - np.linalg.norm(x, axis=1)).max() <= 1e-15, name
@@ -226,7 +225,7 @@ def test_circle_action_preserves_norm_and_projects():
 
 @pytest.mark.parametrize("name", ["z^3", "z^2+w^3", "z*w"])
 def test_monodromy_looks_up_h_of_each_representative(name):
-    germ = MONODROMY_GERMS[name]()
+    germ = MONODROMY_GERMS[name]
     fs = sample_fiber(germ, phi=0.3, n_seeds=600, seed=1)
     asked = []
 
