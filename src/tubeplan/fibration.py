@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero  # without np.count_nonzero's Python layer
 
 from .errors import LiftFailure
 from .geometry import (
@@ -39,11 +40,25 @@ from .sphere_planner import DEFAULT_MARGIN, QUERY_NORM_TOL, Planned, SpherePlann
 # may sit off the base point before lifting refuses the query.
 EXACT_LIFT_TOL = 1e-12
 NUMERIC_LIFT_TOL = 1e-6
-# Halved sub-steps (corrector calls) one row may spend over one lift. The
-# tests, the acceptance criteria and the benchmark reach at most 78; a
-# corrector that converges only deep in the halving tree would otherwise
-# pay up to 2^max_halvings calls per knot.
+# Halved sub-steps (the sub-knot steps below one knot) one row may spend over
+# one lift. The tests and the acceptance criteria reach at most 78, and 62
+# under the step rule alone; the benchmark's rounds reach at most 12. A
+# corrector that converges only deep in the halving tree would otherwise pay
+# up to 2^max_halvings calls per knot.
 HALVING_BUDGET = 1024
+# Choice: the tracker's step-length rule (Allgower & Georg, ch. 6). A stride's
+# base length may be at most STEP_RULE * sigma_min(Df) at its anchor. Near a
+# rank drop of the arm, sigma_min is about the base path's distance d from the
+# pole and the lift's azimuth turns by about length / d, so under the rule it
+# turns by at most about half a radian a stride.
+STEP_RULE = 0.5
+# Choice: the longest stride, in knots, on a map with discrete fibers (n <= p).
+STRIDE_CAP = 16
+# Choice: Newton iterations of the block correction. A knot predicted from its
+# anchor under the step rule converges quadratically, in at most 7 iterations
+# over 400 seed-3 arm plans; a knot that needs more is poorly predicted or
+# poorly conditioned, and its stride is tracked again knot by knot.
+BLOCK_NEWTON_ITERS = 8
 
 
 @dataclass(frozen=True)
@@ -127,19 +142,45 @@ class ExactCircleOracle:
 
 @dataclass(frozen=True)
 class NumericOracle:
-    """Predictor-corrector continuation lift along the base path.
+    """Predictor-corrector continuation lift along the base path, coarse to
+    fine (Allgower & Georg, Introduction to Numerical Continuation Methods,
+    SIAM 2003, ch. 6). A single lift is a batch of one.
 
-    Tangent predictor from the Gauss-Newton step for Df . dx = dgamma,
-    Newton corrector (`newton_project`) back onto the level set with the
-    same step, recursive step halving on corrector failure. The rows of
-    a batch are tracked in lockstep, knot by knot (Allgower & Georg,
-    Introduction to Numerical Continuation Methods, SIAM 2003, ch. 6);
-    a single lift is a batch of one. Each result is a dense knot table
-    wrapped in a NumericLift node.
+    The base path is sampled at n_knots uniform knots, and the lift takes
+    two phases:
 
-    Goals within singular_margin of a declared rank-drop value of the
-    work map are refused up front: the fiber degenerates there and the
-    tracked endpoint could not be certified.
+    * Anchors. Each row advances a chain of anchors in strides of whole
+      knots: a tangent predictor (the Gauss-Newton step for
+      Df . dx = dgamma) and a Newton corrector (`newton_project`) onto the
+      fiber over the stride's last knot. The rows take their strides in
+      lockstep, one predictor and one corrector call per round over all of
+      them, each row at its own knot. A stride is taken only when the base
+      path's length over it (the sum of its knot-to-knot chords, which
+      bounds the chord to every knot inside) is at most STEP_RULE times a
+      lower bound on sigma_min(Df) at the anchor, which the predictor's
+      normal matrix gives. A stride that breaks this rule or whose
+      corrector fails is halved, and each taken stride doubles the next
+      one, up to the stride cap. Below one knot the halves are sub-knots:
+      they are tracked at once, stay in the row's knot table and count
+      against HALVING_BUDGET. Near a rank drop sigma_min shrinks and the
+      strides with it, so the lift cannot slip onto another preimage.
+    * Block correction. Every knot inside a stride is predicted from the
+      stride's anchor, and all of them are corrected by one
+      `newton_project` call at the same tolerance, within
+      BLOCK_NEWTON_ITERS iterations. A stride with a knot that fails is
+      tracked again from its anchor, one knot at a time.
+
+    The stride cap is STRIDE_CAP knots where the fibers are discrete
+    (n <= p, the arm): continuity alone then fixes the lift, whatever route
+    the corrector takes. Where they are positive-dimensional (n > p, Hopf)
+    the route picks the point on the fiber: minimum-norm steps of one knot
+    keep the lift horizontal, and longer strides lose that, so the cap is
+    one knot.
+
+    Each result is a knot table wrapped in a NumericLift node. Goals within
+    singular_margin of a declared rank-drop value of the work map are
+    refused up front: the fiber degenerates there and the tracked endpoint
+    could not be certified.
     """
 
     lift_tol = NUMERIC_LIFT_TOL
@@ -156,13 +197,11 @@ class NumericOracle:
         return lam[1]
 
     def lift_batch(self, wm: WorkMap, starts: np.ndarray, planned: Planned) -> Planned:
-        """Lift every planned row from its start, tracking all rows in lockstep.
+        """Lift every planned row from its start, all rows in one tracker.
 
         Each row's lift is a one-row NumericLift, or the LiftFailure that
         ended it joins the refusals. The base blocks are sampled once at the
-        knots. Each knot takes one predictor step and one corrector call over
-        the whole batch of live rows; a row whose corrector fails is halved on
-        its own and either rejoins the batch or fails.
+        knots.
         """
         if not planned.blocks:
             return planned
@@ -188,63 +227,210 @@ class NumericOracle:
             rows, gammas, paths = rows[keep], gammas[keep], [paths[c] for c in keep]
         if rows.size == 0:
             return Planned(planned.size, [], refused)
-        # knot-major tables, so that each knot's block of rows is contiguous
-        gammas = np.ascontiguousarray(gammas.transpose(1, 0, 2))  # (knots, rows, p)
-        steps = np.diff(gammas, axis=0)
-        table = np.empty((self.n_knots, rows.size, starts.shape[1]), dtype=float)
-        table[0] = x = starts[rows]
-        live = np.arange(rows.size)  # columns of the tables still tracked
-        spent = [[0] for _ in paths]  # halving sub-steps per row
-        for k in range(self.n_knots - 1):
-            xnew, ok = self._advance(wm, x, steps[k], gammas[k + 1])
-            if np.count_nonzero(ok) < ok.size:
-                keep = np.ones(live.size, dtype=bool)
-                for j in np.flatnonzero(~ok):
-                    c = live[j]
-                    try:
-                        xnew[j] = self._halve(
-                            wm, paths[c][1], x[j : j + 1], ts[k], ts[k + 1],
-                            gammas[k, j : j + 1], gammas[k + 1, j : j + 1], 0, spent[c],
-                        )[0]
-                    except LiftFailure as ex:
-                        refused[int(rows[c])] = ex
-                        keep[j] = False
-                xnew, live = xnew[keep], live[keep]
-                gammas, steps = gammas[:, keep], steps[:, keep]
-            if live.size == rows.size:
-                table[k + 1] = x = xnew
+        track = _Tracker(self, wm, ts, gammas, [path for _, path in paths])
+        cap = STRIDE_CAP if wm.n <= wm.p else 1
+        track.chain(starts[rows], 0, self.n_knots - 1, cap)
+        track.fill()
+        blocks = []
+        for c, (idx, path) in enumerate(paths):
+            if c in track.failed:
+                refused[int(rows[c])] = track.failed[c]
             else:
-                table[k + 1, live] = x = xnew
-        blocks = [
-            (idx, rows[c : c + 1], NumericLift(ts, np.ascontiguousarray(table[:, c]), wm, path))
-            for c, (idx, path) in enumerate(paths)
-            if int(rows[c]) not in refused
-        ]
+                blocks.append((idx, rows[c : c + 1], NumericLift(*track.knot_table(c), wm, path)))
         return Planned(planned.size, blocks, refused)
 
-    def _advance(self, wm, x, step, target) -> tuple[np.ndarray, np.ndarray]:
-        # tangent predictor along the base step, then the corrector onto the target
-        # fiber; a singular step is NaN, which the corrector fails, so it halves
-        xpred = x + gauss_newton_step(wm.jac(x), step)[0]
-        return newton_project(
-            wm.f, wm.jac, xpred, target, tol=LIFT_NEWTON_TOL, max_iter=LIFT_NEWTON_ITERS
-        )
 
-    def _halve(self, wm, path, x, t0, t1, g0, g1, depth, spent) -> np.ndarray:
-        """Track the 1-row block x over [t0, t1] in two halves, after the
-        corrector failed over the whole of it `depth` halvings deep. spent[0]
-        counts the row's sub-steps in this lift, up to HALVING_BUDGET."""
-        if depth >= self.max_halvings:
-            raise LiftFailure(t0, f"corrector diverged after {depth} halvings")
-        spent[0] += 2
-        if spent[0] > HALVING_BUDGET:
+class _Tracker:
+    """The knot tables of one `NumericOracle.lift_batch` call while it tracks.
+
+    Row c of the batch owns gammas[c], its base path at the knots, and
+    steps[c], the steps between them; reach[c], the base length from knot 0
+    to each knot along the chords over STEP_RULE, so that a stride keeps the
+    step rule when its reach is at most sigma_min at its anchor, and
+    reach2[c], the squared reach of each one-knot stride; table[c], its
+    lift at the knots; and subs[c], its sub-knots as (t, x).
+    """
+
+    def __init__(self, oracle: NumericOracle, wm: WorkMap, ts, gammas, paths):
+        self.oracle, self.wm, self.ts, self.gammas, self.paths = oracle, wm, ts, gammas, paths
+        rows, knots = gammas.shape[:2]
+        self.steps = np.diff(gammas, axis=1)
+        chords = row_norms(self.steps) / STEP_RULE
+        self.reach2 = chords * chords
+        self.reach = np.zeros((rows, knots))
+        np.cumsum(chords, axis=1, out=self.reach[:, 1:])
+        self.table = np.empty((rows, knots, wm.n))
+        self.subs = [[] for _ in range(rows)]
+        self.spent = [0] * rows  # halving sub-steps per row, up to HALVING_BUDGET
+        self.failed = {}  # row -> the LiftFailure that ended it
+        self.strides = []  # (rows, anchor knots, end knots, anchors, Jacobians) of long strides
+
+    def chain(self, x, i, end, cap: int, cols=None) -> None:
+        """Advance rows from x at knots i to knots end, in strides of at most
+        cap knots: the rows cols, or every row in order when cols is None.
+
+        i and end are one knot for all rows or one per row. While every row
+        takes the same stride from the same knot, as on a one-knot cap until
+        a row fails, i, j and s stay ints and a whole batch reads its tables
+        through slices; a one-knot stride reads its step and its squared
+        reach from them too.
+        """
+        wm, G, R = self.wm, self.gammas, self.reach
+        cols, sel = (np.arange(len(x)), slice(None)) if cols is None else (cols, cols)
+        s = cap
+        gc = G[sel, i]
+        self.table[sel, i] = x
+        while True:
+            aligned = type(i) is int
+            j = min(i + s, end) if aligned else np.minimum(i + s, end)
+            gt = G[sel, j]
+            if aligned and s == 1:
+                step, reach2 = self.steps[sel, i], self.reach2[sel, i]
+            else:
+                step, reach = gt - gc, R[sel, j] - R[sel, i]
+                reach2 = reach * reach
+            J = wm.jac(x)
+            dx, _, sigma2 = gauss_newton_step(J, step, bound=True)
+            fits = reach2 <= sigma2
+            all_fit = count_nonzero(fits) == cols.size
+            if not all_fit:
+                i, j, s = (np.broadcast_to(v, cols.shape).copy() for v in (i, j, s))
+                sel, gt = cols, gt.copy()  # gt may be a view of G
+                shorter = []
+                for r in np.flatnonzero(~fits).tolist():
+                    k = self._shorten(int(cols[r]), int(i[r]), int(j[r]), sigma2[r])
+                    if k is not None:
+                        shorter.append(r)
+                    j[r] = i[r] + 1 if k is None else k  # a stride of one knot is subdivided
+                    gt[r] = G[cols[r], j[r]]
+                if shorter:
+                    dx[shorter] = gauss_newton_step(J[shorter], gt[shorter] - gc[shorter])[0]
+                    fits[shorter] = True
+            xnew, ok = newton_project(
+                wm.f, wm.jac, x + dx, gt, tol=LIFT_NEWTON_TOL, max_iter=LIFT_NEWTON_ITERS
+            )
+            if not all_fit:
+                ok &= fits
+            if count_nonzero(ok) == cols.size:
+                self.table[sel, j] = xnew
+                if cap > 1 and np.any(j - i > 1):
+                    self._record(cols, i, j, x, J, np.broadcast_to(j - i > 1, cols.shape))
+                s = min(2 * (j - i), cap) if type(j) is int else np.minimum(2 * (j - i), cap)
+                i, x, gc = j, xnew, gt
+                keep = i < end
+            else:
+                i, j, s = (np.broadcast_to(v, cols.shape).copy() for v in (i, j, s))
+                sel = cols
+                moved, dead = ok.copy(), np.zeros(cols.size, dtype=bool)
+                for r in np.flatnonzero(~ok).tolist():
+                    c = int(cols[r])
+                    if j[r] - i[r] > 1:  # retry from the same anchor with half the stride
+                        s[r] = (j[r] - i[r]) // 2
+                        continue
+                    why = "corrector diverged" if fits[r] else "step-length rule unmet"
+                    try:
+                        xnew[r] = self._subdivide(
+                            c, x[r : r + 1], self.ts[i[r]], self.ts[j[r]],
+                            gc[r : r + 1], gt[r : r + 1], 0, why,
+                        )[0]
+                        moved[r] = True
+                    except LiftFailure as ex:
+                        self.failed[c] = ex
+                        dead[r] = True
+                self.table[cols[moved], j[moved]] = xnew[moved]
+                if cap > 1:
+                    self._record(cols, i, j, x, J, moved & (j - i > 1))
+                s = np.where(moved, np.minimum(2 * (j - i), cap), s)
+                i = np.where(moved, j, i)
+                x = np.where(moved[:, None], xnew, x)
+                gc = np.where(moved[:, None], gt, gc)
+                keep = ~dead & (i < end)
+            if type(keep) is bool:
+                if not keep:
+                    return
+            elif count_nonzero(keep) < keep.size:
+                if not keep.any():
+                    return
+                cols, x, gc = cols[keep], x[keep], gc[keep]
+                i, s, end = (v[keep] if np.ndim(v) else v for v in (i, s, end))
+                sel = cols
+
+    def _shorten(self, c: int, i: int, j: int, sigma2: float) -> Optional[int]:
+        """The farthest knot, halving the stride from knot i to knot j, that the
+        step rule lets row c reach from i; None when even the next knot is too far."""
+        R = self.reach[c]
+        while j - i > 1:
+            j = i + (j - i) // 2
+            if (R[j] - R[i]) ** 2 <= sigma2:
+                return j
+        return None
+
+    def _record(self, cols, i, j, x, J, mask) -> None:
+        """Keep the long strides of mask for `fill`."""
+        i, j = np.broadcast_to(i, cols.shape), np.broadcast_to(j, cols.shape)
+        self.strides.append((cols[mask], i[mask], j[mask], x[mask], J[mask]))
+
+    def _subdivide(self, c: int, x, t0, t1, g0, g1, depth: int, why: str) -> np.ndarray:
+        """Track row c, the 1-row block x, over [t0, t1] in two halves, after `why`
+        stopped it over the whole of it `depth` halvings deep. A half that breaks
+        the step rule or fails its corrector is halved in turn, and the midpoint
+        joins the row's sub-knots."""
+        if depth >= self.oracle.max_halvings:
+            raise LiftFailure(t0, f"{why} after {depth} halvings")
+        self.spent[c] += 2
+        if self.spent[c] > HALVING_BUDGET:
             raise LiftFailure(t0, f"halving budget of {HALVING_BUDGET} sub-steps spent")
+        wm = self.wm
         tm = 0.5 * (t0 + t1)
-        gm = path.at(tm)[None]
+        gm = self.paths[c].at(tm)[None]
         for a, b, ga, gb in ((t0, tm, g0, gm), (tm, t1, gm, g1)):
-            xnew, ok = self._advance(wm, x, gb - ga, gb)
-            x = xnew if ok[0] else self._halve(wm, path, x, a, b, ga, gb, depth + 1, spent)
+            step = gb - ga
+            dx, _, sigma2 = gauss_newton_step(wm.jac(x), step, bound=True)
+            why = "step-length rule unmet"
+            if (row_norms(step)[0] / STEP_RULE) ** 2 <= sigma2[0]:
+                xnew, ok = newton_project(
+                    wm.f, wm.jac, x + dx, gb, tol=LIFT_NEWTON_TOL, max_iter=LIFT_NEWTON_ITERS
+                )
+                why = None if ok[0] else "corrector diverged"
+            x = xnew if why is None else self._subdivide(c, x, a, b, ga, gb, depth + 1, why)
+            if b == tm:
+                self.subs[c].append((tm, x[0]))
         return x
+
+    def fill(self) -> None:
+        """Correct every knot inside a long stride from its anchor, in one block;
+        a stride with a knot that fails is tracked again from its anchor, one
+        knot at a time."""
+        if not self.strides:
+            return
+        cols, i, j, xa, Ja = (np.concatenate(v) for v in zip(*self.strides))
+        live = np.array([c not in self.failed for c in cols.tolist()], dtype=bool)
+        cols, i, j, xa, Ja = cols[live], i[live], j[live], xa[live], Ja[live]
+        inner = j - i - 1
+        rec = np.repeat(np.arange(cols.size), inner)  # the stride of each inner knot
+        k = np.arange(rec.size) - np.repeat(np.cumsum(inner) - inner, inner) + i[rec] + 1
+        c = cols[rec]
+        gt = self.gammas[c, k]
+        dx = gauss_newton_step(Ja[rec], gt - self.gammas[c, i[rec]])[0]
+        wm = self.wm
+        xk, ok = newton_project(
+            wm.f, wm.jac, xa[rec] + dx, gt, tol=LIFT_NEWTON_TOL, max_iter=BLOCK_NEWTON_ITERS
+        )
+        self.table[c, k] = xk
+        if count_nonzero(ok) < ok.size:
+            last = np.zeros(cols.size, dtype=int)
+            np.maximum.at(last, rec[~ok], k[~ok])
+            bad = np.flatnonzero(last)
+            self.chain(xa[bad], i[bad], last[bad], 1, cols[bad])
+
+    def knot_table(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row c's knots, the uniform ones and its sub-knots, and its lift at them."""
+        if not self.subs[c]:
+            return self.ts, self.table[c].copy()
+        ts, xs = zip(*self.subs[c])
+        knots = np.concatenate([self.ts, ts])
+        order = np.argsort(knots, kind="stable")
+        return knots[order], np.concatenate([self.table[c], np.stack(xs)])[order]
 
 
 @dataclass(frozen=True)

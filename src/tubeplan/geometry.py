@@ -26,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from numpy._core.multiarray import c_einsum  # np.einsum without its Python layers
+# np.einsum and np.count_nonzero without their Python layers
+from numpy._core.multiarray import c_einsum, count_nonzero
 
 from .errors import AtPole, DomainError, EvenAmbientDim, LiftFailure, OddAmbientDim, ZeroVector
 
@@ -142,7 +143,7 @@ def _lerp(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return (1.0 - ts)[:, None] * a[..., None, :] + ts[:, None] * b[..., None, :]
 
 
-def gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gauss_newton_step(J: np.ndarray, r: np.ndarray, bound: bool = False) -> tuple:
     """Batched Gauss-Newton step: dx with J dx = r as nearly as possible.
 
     J has shape (k, p, n) and r shape (k, p). Wide or square rows
@@ -152,6 +153,11 @@ def gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndar
     whose normal matrix is finite and nonsingular; the other rows of dx
     are NaN. See Allgower & Georg, Introduction to Numerical Continuation
     Methods (SIAM 2003).
+
+    With bound, a third array gives each row's lower bound on
+    sigma_min(J)^2 from its m x m normal matrix N: det N / (tr N)^(m-1),
+    since each other eigenvalue of N is at most tr N. It reuses the
+    determinant the step takes anyway; a zero or non-finite J gives 0.
     """
     wide = J.shape[-2] <= J.shape[-1]
     Jt = J.transpose(0, 2, 1)
@@ -160,15 +166,22 @@ def gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndar
     # block's solve. det flags a non-finite matrix, and J is finite iff sum J^2 is.
     if not np.vdot(J, J) < np.inf:
         normal[~np.isfinite(normal).all(axis=(1, 2))] = 0.0  # singular, so not ok
-    ok = np.abs(_umath_linalg.det(normal, signature="d->d")) > 1e-300
-    degenerate = np.count_nonzero(ok) < ok.size
+    det = _umath_linalg.det(normal, signature="d->d")
+    ok = np.abs(det) > 1e-300
+    degenerate = count_nonzero(ok) < ok.size
+    if bound:
+        m = normal.shape[-1]
+        tr = c_einsum("kii->k", normal)
+        if degenerate:
+            tr[tr == 0.0] = np.inf  # N = 0: the bound is 0, not 0/0
+        sigma2 = det / tr ** (m - 1)
     if degenerate:
         normal[~ok] = np.eye(normal.shape[-1])  # a solvable stand-in; its rows turn NaN
     sol = _umath_linalg.solve1(normal, rhs, signature="dd->d")
     dx = c_einsum("kpn,kp->kn", J, sol) if wide else sol
     if degenerate:
         dx[~ok] = np.nan
-    return dx, ok
+    return (dx, ok, sigma2) if bound else (dx, ok)
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,7 +223,7 @@ def newton_project(
             break
         r = f(x) - t
         done = np.add.reduce(r * r, 1) <= _squared_bound(tol)
-        n_done = np.count_nonzero(done)
+        n_done = count_nonzero(done)
         if n_done == x.shape[0]:
             if live is None:
                 return xs, done
@@ -228,7 +241,7 @@ def newton_project(
         # a degenerate normal matrix gives a NaN step, which fails the
         # comparison; that or a blow-up gives up on the row
         tame = np.add.reduce(dx * dx, 1) <= _squared_bound(NEWTON_BLOWUP)
-        if np.count_nonzero(tame) < tame.size:
+        if count_nonzero(tame) < tame.size:
             live = np.arange(xs.shape[0]) if live is None else live
             xs[live[~tame]] = np.nan
             x, t, live = x[tame], t[tame], live[tame]
@@ -559,9 +572,9 @@ def path_from_dict(d: dict) -> PathExpr:
         if kind == "stereo_segment":
             return StereoSegment(np.asarray(d["a"]), np.asarray(d["b"]))
         if kind == "concat":
-            return Concat(path_from_dict(d["left"]), path_from_dict(d["right"]))
+            return Concat(path_from_field(d, "left"), path_from_field(d, "right"))
         if kind == "scaled":
-            return Scaled(path_from_dict(d["path"]), float(d["factor"]))
+            return Scaled(path_from_field(d, "path"), float(d["factor"]))
         if kind in ("circle_action_lift", "numeric_lift"):
             from .milnor import lift_from_dict  # these carry germs and work maps
 
@@ -569,6 +582,14 @@ def path_from_dict(d: dict) -> PathExpr:
     except (AttributeError, IndexError, KeyError, TypeError) as ex:
         raise ValueError(f"malformed {kind!r} path node: {ex!r}") from ex
     raise ValueError(f"unknown path node kind {kind!r}")
+
+
+def path_from_field(d: dict, field: str) -> PathExpr:
+    """The child node in field of the node d; a null child raises TypeError,
+    which `path_from_dict` reports as a malformed node of d's kind."""
+    if d[field] is None:
+        raise TypeError(f"field {field!r} is null")
+    return path_from_dict(d[field])
 
 
 def path_to_json(path: PathExpr) -> str:

@@ -32,6 +32,7 @@ from .geometry import (
     newton_project,
     normalize,
     path_from_dict,
+    path_from_field,
 )
 from .sphere_planner import QUERY_NORM_TOL
 
@@ -676,7 +677,7 @@ def lift_from_dict(d: dict) -> PathExpr:
         return CircleActionLift(
             germ=Germ.from_dict(d["germ"]),
             start=np.asarray(d["start"], dtype=float),
-            base=path_from_dict(d["base"]),
+            base=path_from_field(d, "base"),
         )
     base = path_from_dict(d["base"]) if d.get("base") else None
     w = d.get("workmap") or {}

@@ -26,11 +26,14 @@ def jacobian_fd(wm, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gauss_newton_step(J: np.ndarray, r: np.ndarray, bound: bool = False) -> tuple:
     wide = J.shape[-2] <= J.shape[-1]
     Jt = np.swapaxes(J, 1, 2)
     normal, rhs = (J @ Jt, r) if wide else (Jt @ J, np.einsum("kpn,kp->kn", J, r))
-    ok = np.abs(np.linalg.det(normal)) > 1e-300
+    det = np.linalg.det(normal)
+    tr = np.trace(normal, axis1=1, axis2=2)
+    sigma2 = det / np.where(tr == 0.0, np.inf, tr) ** (normal.shape[-1] - 1)
+    ok = np.abs(det) > 1e-300
     degenerate = not ok.all()
     if degenerate:
         normal[~ok] = np.eye(normal.shape[-1])
@@ -38,7 +41,7 @@ def gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndar
     dx = np.einsum("kpn,kp->kn", J, sol) if wide else sol
     if degenerate:
         dx[~ok] = np.nan
-    return dx, ok
+    return (dx, ok, sigma2) if bound else (dx, ok)
 
 
 def newton_project(f, jac, x0s, targets, tol=1e-12, max_iter=50):
@@ -106,3 +109,36 @@ def hopf_f(x: np.ndarray) -> np.ndarray:
     out[..., 1] = 2.0 * (x2 * x3 - x1 * x4)
     out[..., 2] = x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4
     return out
+
+
+def arm_lift_reference(base, knots: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The continuous arm lift of the base path at knots, on the start's sheet.
+
+    Off the poles the fiber over a unit value gamma is (a, b) and
+    (pi - a, b + pi), mod 2 pi, with a = asin(gamma_z) (taken as
+    atan2(gamma_z, |(gamma_x, gamma_y)|), which is exact near the poles) and
+    b = atan2(gamma_y, gamma_x). A continuous lift keeps the sheet of its
+    start: pi - a and b + pi where cos a0 < 0. b is unwrapped along the base
+    path itself: the knots are refined until no two neighbouring samples
+    differ in azimuth by more than 0.5, so that a lift with too few knots
+    near a pole cannot make its own reference. Both angles are then shifted
+    into the 2 pi class of the start.
+    """
+    ts = np.asarray(knots, dtype=float)
+    for _ in range(60):
+        g = base.sample(ts)
+        theta = np.arctan2(g[:, 1], g[:, 0])
+        wide = np.abs(np.angle(np.exp(1j * np.diff(theta)))) > 0.5
+        if not wide.any():
+            break
+        ts = np.sort(np.concatenate([ts, 0.5 * (ts[:-1][wide] + ts[1:][wide])]))
+    else:
+        raise AssertionError("the base path passes too near a pole to unwrap its azimuth")
+    at = np.searchsorted(ts, knots)
+    a = np.arctan2(g[at, 2], np.hypot(g[at, 0], g[at, 1]))
+    b = np.unwrap(theta)[at]
+    if np.cos(start[0]) < 0.0:
+        a, b = np.pi - a, b + np.pi
+    a += 2.0 * np.pi * np.round((start[0] - a[0]) / (2.0 * np.pi))
+    b += 2.0 * np.pi * np.round((start[1] - b[0]) / (2.0 * np.pi))
+    return np.stack([a, b], axis=1)

@@ -12,10 +12,17 @@ a seeded generator and returns them as two (k, m+1) blocks:
 * `near_field_zero_goals`: goals within 1e-12..1e-1 of +-e1, where the even
   detour's pivot field vanishes, with starts near the north pole half the
   time so that the chart region gives out too.
+
+`arm_near_pole_queries` aims at the arm's rank drops instead: its base paths
+pass a given distance from a pole, where a numeric lift that steps too far
+lands on the other preimage sheet.
 """
+
+import math
 
 import numpy as np
 
+from tubeplan.geometry import stereo_inv
 from tubeplan.sphere_planner import DEFAULT_MARGIN
 
 
@@ -88,3 +95,26 @@ def near_field_zero_goals(rng, m: int, k: int):
     north = _near(rng, np.tile(np.eye(d)[-1], (k, 1)), 10.0 ** rng.uniform(-6.0, -3.0, k))
     t1 = np.where((rng.random(k) < 0.5)[:, None], north, _units(rng, k, d))
     return t1, t2
+
+
+def arm_near_pole_queries(rng, d: float, k: int):
+    """k arm queries (starts, goals) whose base path passes at chord distance d
+    from the south pole -e3.
+
+    The S^2 planner's first region joins the two values by a straight segment
+    in the stereographic chart from the north pole, whose origin is -e3. Here
+    that segment lies on a line at chart distance d / sqrt(4 - d^2) from the
+    origin, which is chord distance d on the sphere, and its ends lie 0.3..2
+    from the line's foot on either side. Starts alternate between the two
+    preimage sheets of the start value, (a, b) and (pi - a, b + pi), each
+    shifted by a random multiple of 2 pi.
+    """
+    u = _units(rng, k, 2)
+    foot = d / math.sqrt(4.0 - d * d) * np.stack([-u[:, 1], u[:, 0]], axis=1)
+    t1 = stereo_inv(foot - rng.uniform(0.3, 2.0, (k, 1)) * u)
+    t2 = stereo_inv(foot + rng.uniform(0.3, 2.0, (k, 1)) * u)
+    a = np.arctan2(t1[:, 2], np.hypot(t1[:, 0], t1[:, 1]))
+    b = np.arctan2(t1[:, 1], t1[:, 0])
+    other = np.arange(k) % 2 == 1
+    starts = np.stack([np.where(other, np.pi - a, a), np.where(other, b + np.pi, b)], axis=1)
+    return starts + 2.0 * np.pi * rng.integers(-1, 2, (k, 2)), t2

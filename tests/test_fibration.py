@@ -169,6 +169,22 @@ def test_gauss_newton_step_degenerate_rows(shape):
     assert np.array_equal(solo, ref_dx)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (3, 4), (2, 2)], ids=["tall", "wide", "square"])
+def test_gauss_newton_bound_lies_below_sigma_min(shape):
+    # the tracker's step rule reads sigma_min(Df) from this bound
+    rng = np.random.default_rng(9)
+    J = rng.standard_normal((200, *shape)) * rng.choice([1e-6, 1.0, 1e3], (200, 1, 1))
+    J[0] = 0.0
+    r = rng.standard_normal((200, shape[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dx, ok, sigma2 = geometry.gauss_newton_step(J.copy(), r, bound=True)
+    assert np.array_equal(dx[1:], geometry.gauss_newton_step(J[1:].copy(), r[1:])[0])
+    assert sigma2[0] == 0.0 and np.all(sigma2[1:] > 0.0)
+    assert np.all(sigma2 <= np.linalg.svd(J, compute_uv=False)[:, -1] ** 2 * (1.0 + 1e-9))
+    assert np.array_equal(sigma2, ref.gauss_newton_step(J.copy(), r, bound=True)[2])
+
+
 # --- bit-identity of the numeric core against its plain reference ---------------
 
 _REF_MAPS = {"rr_arm": (ref.rr_f, ref.rr_jac), "hopf": (ref.hopf_f, milnor._hopf_jac)}
@@ -476,6 +492,46 @@ def test_halving_budget_ends_a_runaway_lift():
     # LIFT_NEWTON_ITERS corrector Jacobians
     steps = NumericOracle.n_knots - 1 + HALVING_BUDGET
     assert jac_calls[0] <= steps * (1 + LIFT_NEWTON_ITERS)
+
+
+# --- independent checks of the numeric lifts ------------------------------------
+
+
+def test_arm_plans_equal_the_closed_form_lift():
+    # Row 143 passes 8.75e-3 from the south pole. Knot-sized steps there turn the
+    # azimuth by more than a radian, and the corrector lands on the other sheet
+    # unless the step rule splits them into sub-knots.
+    wm = rr_arm_workmap()
+    planner = pullback_planner(wm)
+    rng = np.random.default_rng(3)
+    starts = wm.sample(rng, 200)
+    goals = normalize(rng.standard_normal((200, 3)))
+    batch = planner.plan_batch(starts, goals)
+    for k, (e, w) in enumerate(zip(starts, goals)):
+        for _, lam in (batch[k], planner.plan(e, w)):
+            closed = ref.arm_lift_reference(lam.base, lam.knots, e)
+            assert np.abs(lam.points - closed).max() <= 1e-8, k
+
+
+def _horizontal_gap(points: np.ndarray) -> float:
+    """max over the steps of a Hopf knot table of |Im<x_k, dx_k>| / ||dx_k||, with
+    z = x1 + i x2 and w = x3 + i x4; the circle fibers run along i x."""
+    x = points[:, 0::2] + 1j * points[:, 1::2]
+    dx = np.diff(x, axis=0)
+    im = np.abs(np.sum(np.conj(x[:-1]) * dx, axis=1).imag)
+    return float(np.max(im / np.linalg.norm(dx, axis=1)))
+
+
+def test_hopf_lifts_are_horizontal():
+    # minimum-norm steps of one knot keep the lift orthogonal to the fibers;
+    # strides longer than a knot would not, so Hopf tracking keeps a one-knot cap
+    planner = pullback_planner(hopf_germ())
+    # drawn as acceptance criterion 5's contract suite draws its queries
+    starts, goals = planner.sample_queries(np.random.default_rng(42), 40)
+    batch = planner.plan_batch(starts, goals)
+    for k in range(40):
+        for _, lam in (batch[k], planner.plan(starts[k], goals[k])):
+            assert _horizontal_gap(lam.points) <= 1e-13, k
 
 
 # --- planner structure ------------------------------------------------------------

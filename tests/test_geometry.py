@@ -362,6 +362,25 @@ def test_from_dict_rejects_a_circle_action_lift_without_base(dphi):
 
 
 @pytest.mark.parametrize(
+    "kind, field", [("concat", "left"), ("concat", "right"), ("circle_action_lift", "base")]
+)
+def test_from_dict_names_the_null_child_and_its_parent(kind, field):
+    if kind == "concat":
+        e1, e2, e3 = np.eye(3)
+        d = Concat(NormalizedSegment(e1, e2), NormalizedSegment(e2, e3)).to_dict()
+    else:
+        d = json.loads(_node_json("exact_tube"))
+        while d["kind"] != kind:
+            d = d["left"] if d["kind"] == "concat" else d["path"]
+    path_from_dict(d)
+    with pytest.raises(ValueError) as err:
+        path_from_dict({**d, field: None})
+    assert str(err.value) == (
+        f"malformed {kind!r} path node: TypeError(\"field {field!r} is null\")"
+    )
+
+
+@pytest.mark.parametrize(
     "d",
     [
         {"kind": "scaled", "path": {"kind": "normalized_segment", "a": [1.0], "b": [1.0]},

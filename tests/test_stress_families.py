@@ -1,15 +1,20 @@
-"""The sphere planners on the dispatch-boundary families of `stress_families`.
+"""The planners on the stress families of `stress_families`.
 
-Each family goes through the contract suite, whose minimal-index scan runs
-row by row with `Region.member`, and through `plan_batch` against `plan`,
-which dispatches one row at a time: a block margin that differs from its
-row margin by an ulp shows as another region.
+Each dispatch-boundary family goes through the contract suite, whose
+minimal-index scan runs row by row with `Region.member`, and through
+`plan_batch` against `plan`, which dispatches one row at a time: a block
+margin that differs from its row margin by an ulp shows as another region.
+The arm's near-pole family goes through the numeric pullback planner and the
+arm's closed-form lift.
 """
 
 import numpy as np
 import pytest
 
 import stress_families as fam
+from numeric_reference import arm_lift_reference
+from tubeplan.errors import LiftFailure
+from tubeplan.fibration import pullback_planner, rr_arm_workmap
 from tubeplan.geometry import path_to_json
 from tubeplan.sphere_planner import build_planner
 from tubeplan.verify import run_contract_suite
@@ -81,3 +86,24 @@ def test_a_margin_equal_to_delta_dispatches_alike(m):
             batch = planner.plan_batch(t1s, t2s)
             for j in range(8):
                 assert batch[j][0] == planner.plan(t1s[j], t2s[j])[0], (kind, i, j)
+
+
+@pytest.mark.parametrize("d", [1e-2, 3e-3, 1e-3, 3e-4])
+def test_arm_near_pole_family_stays_on_its_sheet_or_is_refused(d):
+    # Near a pole sigma_min(Df) = |cos a| is about d, and the azimuth of the lift
+    # turns by about |dgamma| / d per step: tracked in steps of one knot, 21, 36,
+    # 35 and 40 of these 40 rows land on the other sheet (pi - a, b + pi) at the
+    # four distances, and only the step rule's sub-knots keep them on their own.
+    # The corrector stops within 1e-10 of the base path, which moves b by
+    # up to 1e-10 / |cos a|, so b is compared on the fiber's scale, |cos a| db.
+    starts, goals = fam.arm_near_pole_queries(np.random.default_rng(500), d, 40)
+    batch = pullback_planner(rr_arm_workmap()).plan_batch(starts, goals)
+    for k, e in enumerate(starts):
+        if isinstance(batch[k], LiftFailure):
+            continue
+        region, lam = batch[k]
+        assert region == 1, k  # the chart segment that passes the pole
+        closed = arm_lift_reference(lam.base, lam.knots, e)
+        gap = np.abs(lam.points - closed)
+        assert gap[:, 0].max() <= 1e-8, k
+        assert (np.abs(np.cos(closed[:, 0])) * gap[:, 1]).max() <= 1e-8, k
