@@ -4,7 +4,8 @@ They are the plain forms: the Jacobian by central differences, the
 Gauss-Newton step and the Newton projection through `np.linalg`, and the
 arm and Hopf maps written one column at a time. The package's versions
 trim numpy's per-call overhead on small blocks and must stay bit for bit
-equal to these.
+equal to these. `arm_lift_reference` is of another kind: the arm's lift in
+closed form, which a tracked arm lift must match.
 """
 
 import numpy as np
