@@ -13,12 +13,15 @@ checkouts compare byte for byte with `diff -r OUTDIR1 OUTDIR2`.
 `git archive` (as `scripts/bench_pairs.py` does), this script is copied
 into it, each checkout runs the same command list in a fresh interpreter
 with its snapshot in a temporary directory, and the commands whose files
-differ are printed. Exit status 1 when any command differs, 0 when all
-are identical.
+differ are printed. Where both stdouts of such a command parse as JSON of
+the same shape, differing in numbers alone, the largest absolute change of
+a number is printed beside it. Exit status 1 when any command differs, 0
+when all are identical.
 """
 
 import contextlib
 import io
+import json
 import os
 import pathlib
 import shutil
@@ -141,6 +144,38 @@ def snapshot(outdir: pathlib.Path) -> None:
         print(f"{n:02d} {name}: exit {code}")
 
 
+def largest_number_change(a, b):
+    """max |x - y| over the numbers at the same places of two parsed JSON
+    values; None where they differ in shape or in anything but numbers."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        pairs = [(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        pairs = list(zip(a, b))
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        return 0.0 if a == b else abs(a - b)
+    else:
+        return 0.0 if type(a) is type(b) and a == b else None
+    worst = 0.0
+    for x, y in pairs:
+        d = largest_number_change(x, y)
+        if d is None:
+            return None
+        worst = max(worst, d)
+    return worst
+
+
+def number_drift(out0: bytes, out1: bytes):
+    """largest_number_change of two stdouts, or None unless both parse as JSON."""
+    try:
+        return largest_number_change(json.loads(out0), json.loads(out1))
+    except ValueError:
+        return None
+
+
 def against(rev: str) -> int:
     """Snapshot REV and this checkout with this command list, each in a fresh
     interpreter; report the commands whose files differ or exist on one side only."""
@@ -163,7 +198,8 @@ def against(rev: str) -> int:
     stems = sorted(sides[0].keys() | sides[1].keys())
     differ = [stem for stem in stems if sides[0].get(stem) != sides[1].get(stem)]
     for stem in differ:
-        print(f"differs: {stem}")
+        drift = number_drift(*(side.get(stem, {}).get(".out", b"") for side in sides))
+        print(f"differs: {stem}" + ("" if drift is None else f" (numbers only, by {drift:.3g})"))
     print(f"{len(stems) - len(differ)} of {len(stems)} commands identical to {rev}")
     return 1 if differ else 0
 

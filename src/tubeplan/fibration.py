@@ -52,7 +52,7 @@ HALVING_BUDGET = 1024
 # pole and the lift's azimuth turns by about length / d, so under the rule it
 # turns by at most about half a radian a stride.
 STEP_RULE = 0.5
-# Choice: the longest stride, in knots, on a map with discrete fibers (n <= p).
+# Choice: the longest stride, in knots, where `NumericOracle` lets strides grow.
 STRIDE_CAP = 16
 # Choice: Newton iterations of the block correction. A knot predicted from its
 # anchor under the step rule converges quadratically, in at most 7 iterations
@@ -67,7 +67,9 @@ class WorkMap:
 
     f and jac must accept batches over leading axes: f maps (..., n) to
     (..., p) and jac maps (..., n) to (..., p, n). sampler(rng, k) draws
-    k configurations over uniformly random task values.
+    k configurations over uniformly random task values. fiber_generator is
+    an orthogonal (n, n) matrix A with A^2 = -I, if the circle action
+    x -> cos(theta) x + sin(theta) A x maps each fiber onto itself.
     """
 
     n: int
@@ -80,6 +82,7 @@ class WorkMap:
     germ: Optional[object] = None
     singular_values: Optional[np.ndarray] = None
     flags: Optional[dict] = None
+    fiber_generator: Optional[np.ndarray] = None
 
     def descriptor(self) -> Optional[dict]:
         from .milnor import NAMED_WORKMAPS  # milnor imports this module
@@ -172,10 +175,11 @@ class NumericOracle:
 
     The stride cap is STRIDE_CAP knots where the fibers are discrete
     (n <= p, the arm): continuity alone then fixes the lift, whatever route
-    the corrector takes. Where they are positive-dimensional (n > p, Hopf)
-    the route picks the point on the fiber: minimum-norm steps of one knot
-    keep the lift horizontal, and longer strides lose that, so the cap is
-    one knot.
+    the corrector takes. Where they are circles (n > p) the route picks the
+    point on the fiber, and only minimum-norm one-knot steps keep the lift
+    horizontal; so the cap is one knot, unless the map declares its fiber
+    generator (Hopf). Its table is then turned along the fibers afterwards
+    (`_Tracker.knot_table`): the discrete parallel transport those steps give.
 
     Each result is a knot table wrapped in a NumericLift node. Goals within
     singular_margin of a declared rank-drop value of the work map are
@@ -228,7 +232,7 @@ class NumericOracle:
         if rows.size == 0:
             return Planned(planned.size, [], refused)
         track = _Tracker(self, wm, ts, gammas, [path for _, path in paths])
-        cap = STRIDE_CAP if wm.n <= wm.p else 1
+        cap = STRIDE_CAP if wm.n <= wm.p or wm.fiber_generator is not None else 1
         track.chain(starts[rows], 0, self.n_knots - 1, cap)
         track.fill()
         blocks = []
@@ -424,13 +428,21 @@ class _Tracker:
             self.chain(xa[bad], i[bad], last[bad], 1, cols[bad])
 
     def knot_table(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row c's knots, the uniform ones and its sub-knots, and its lift at them."""
-        if not self.subs[c]:
-            return self.ts, self.table[c].copy()
-        ts, xs = zip(*self.subs[c])
-        knots = np.concatenate([self.ts, ts])
-        order = np.argsort(knots, kind="stable")
-        return knots[order], np.concatenate([self.table[c], np.stack(xs)])[order]
+        """Row c's knots, the uniform ones and its sub-knots, and its lift at them.
+        Under a fiber generator A each knot turns along its fiber, by the phases of
+        <y_j, y_j+1> before it, to the point nearest the knot before; knot 0 stays."""
+        knots, xs = self.ts, self.table[c].copy()
+        if self.subs[c]:
+            ts, subs = zip(*self.subs[c])
+            knots, xs = np.concatenate([knots, ts]), np.concatenate([xs, np.stack(subs)])
+            order = np.argsort(knots, kind="stable")
+            knots, xs = knots[order], xs[order]
+        A = self.wm.fiber_generator
+        if A is not None:
+            ay = xs @ A.T
+            phase = np.cumsum(np.arctan2(np.vecdot(ay[:-1], xs[1:]), np.vecdot(xs[:-1], xs[1:])))
+            xs[1:] = np.cos(phase)[:, None] * xs[1:] - np.sin(phase)[:, None] * ay[1:]
+        return knots, xs
 
 
 @dataclass(frozen=True)

@@ -498,7 +498,9 @@ class NumericLift(PathExpr):
     Evaluation interpolates the table linearly and, when the work map
     and base path are attached, polishes the interpolant back onto the
     level set {f(x) = base(t)} with `newton_project`; a parameter whose
-    polish does not converge raises LiftFailure there. Deserialized
+    polish does not converge, or moves the point farther than the gap
+    between its two bracketing knots, raises LiftFailure there (such a
+    polish has left the lift's sheet). Deserialized
     nodes without a work map fall back to plain interpolation.
     """
 
@@ -530,10 +532,11 @@ class NumericLift(PathExpr):
         if self.workmap is None or self.base is None or bool(np.all(exact)):
             return out
         need = np.flatnonzero(~exact)
+        guess = out[need]
         out[need], ok = newton_project(
             self.workmap.f,
             self.workmap.jac,
-            out[need],
+            guess,
             self.base.sample(ts[need]),
             tol=LIFT_NEWTON_TOL,
             max_iter=LIFT_NEWTON_ITERS,
@@ -541,6 +544,10 @@ class NumericLift(PathExpr):
         if not np.all(ok):
             t = float(ts[need[~ok][0]])
             raise LiftFailure(t, f"refinement did not reach the fiber over t = {t:.6g}")
+        far = row_norms(out[need] - guess) > row_norms(np.diff(self.points, axis=0))[idx[need]]
+        if far.any():
+            t = float(ts[need[far][0]])
+            raise LiftFailure(t, f"refinement left the knot gap at t = {t:.6g}")
         return out
 
     def to_dict(self) -> dict:

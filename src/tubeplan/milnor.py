@@ -636,6 +636,8 @@ def _hopf_f(x: np.ndarray) -> np.ndarray:
 _HOPF_COLS = np.array([[2, 3, 0, 1], [3, 2, 1, 0], [0, 1, 2, 3]])
 _HOPF_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
 _PLUS_MINUS = np.array([1.0, -1.0])
+# multiplication by i on (z, w) = (x1 + i x2, x3 + i x4)
+_HOPF_GENERATOR = np.kron(np.eye(2, dtype=int), [[0, -1], [1, 0]]).astype(float)
 
 
 def _hopf_jac(x: np.ndarray) -> np.ndarray:
@@ -651,7 +653,8 @@ def hopf_germ() -> WorkMap:
 
     Target dimension three; the zero set is the origin alone, so the
     link is empty, and the fiber is a circle, so the relevant homotopy
-    group is not trivial. Both facts are declared on the work map.
+    group is not trivial. Both facts are declared on the work map, and so
+    is the circle action (z, w) -> e^{i theta} (z, w) along the fibers.
     """
     return WorkMap(
         n=4,
@@ -662,6 +665,7 @@ def hopf_germ() -> WorkMap:
         name="hopf",
         sampler=lambda rng, k: _sphere_seeds(rng, k, 4, math.sqrt(HOPF_ETA)),
         flags={"link_nonempty": "no", "pi_trivial": "no"},
+        fiber_generator=_HOPF_GENERATOR,
     )
 
 

@@ -143,3 +143,50 @@ def arm_lift_reference(base, knots: np.ndarray, start: np.ndarray) -> np.ndarray
     a += 2.0 * np.pi * np.round((start[0] - a[0]) / (2.0 * np.pi))
     b += 2.0 * np.pi * np.round((start[1] - b[0]) / (2.0 * np.pi))
     return np.stack([a, b], axis=1)
+
+
+def _hopf_section(u: np.ndarray, rho: np.ndarray, north: bool) -> np.ndarray:
+    """The closed-form section over unit values u on the fibers of norm^2 rho, as
+    complex (z, w): z real and positive on the north chart (u_z > -1), w real and
+    positive on the south chart (u_z < 1). Then 2 z conj(w) = rho (u_x + i u_y)."""
+    c = rho * (u[:, 0] + 1j * u[:, 1]) / 2.0
+    if north:
+        z = np.sqrt(rho * (1.0 + u[:, 2]) / 2.0)
+        return np.stack([z + 0j, np.conj(c) / z], axis=1)
+    w = np.sqrt(rho * (1.0 - u[:, 2]) / 2.0)
+    return np.stack([c / w, w + 0j], axis=1)
+
+
+def hopf_lift_reference(base, knots: np.ndarray, start: np.ndarray, fine: int = 64) -> np.ndarray:
+    """The horizontal Hopf lift of the base path at knots, from start.
+
+    The lift is x(t) = e^{i theta(t)} s(gamma(t)), with s the closed-form section
+    of the chart that holds gamma(t) (north where u_z >= 0) and theta' = -Im<s,
+    ds/dt> / |s|^2, the Hopf bundle's holonomy. On the north chart that is
+    (u_x u_y' - u_y u_x') / (2 (1 + u_z)), on the south chart minus the same
+    over 2 (1 - u_z). Each knot interval is cut into `fine` steps, the 1-form is
+    integrated by the midpoint rule on each step's chord, and a step that
+    changes chart adds the transition phase arg<s_new, s_old> at its end.
+    Knots come back in the interleaved layout (Re z, Im z, Re w, Im w).
+    """
+    knots = np.asarray(knots, dtype=float)
+    frac = np.arange(fine) / fine
+    ts = np.append((knots[:-1, None] + np.diff(knots)[:, None] * frac).ravel(), knots[-1])
+    g = base.sample(ts)
+    rho = np.linalg.norm(g, axis=1)
+    u = g / rho[:, None]
+    north = u[:, 2] >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_n, s_s = _hopf_section(u, rho, True), _hopf_section(u, rho, False)
+    s = np.where(north[:, None], s_n, s_s)
+    mid, du = 0.5 * (u[:-1] + u[1:]), np.diff(u, axis=0)
+    twist = (mid[:, 0] * du[:, 1] - mid[:, 1] * du[:, 0]) / 2.0
+    step = np.where(north[:-1], twist / (1.0 + mid[:, 2]), -twist / (1.0 - mid[:, 2]))
+    old = np.where(north[:-1, None], s_n[1:], s_s[1:])  # the end of each step, in its chart
+    switch = np.angle(np.sum(np.conj(s[1:]) * old, axis=1))
+    z0 = start[0::2] + 1j * start[1::2]
+    theta = np.angle(np.sum(np.conj(s[0]) * z0)) + np.concatenate([[0.0], np.cumsum(step + switch)])
+    x = (np.exp(1j * theta)[:, None] * s)[::fine]
+    out = np.empty((knots.size, 4))
+    out[:, 0::2], out[:, 1::2] = x.real, x.imag
+    return out

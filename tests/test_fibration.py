@@ -378,6 +378,25 @@ def test_numeric_lift_refinement_failure_raises():
     assert err.value.t_star == 0.25
 
 
+def test_numeric_lift_polish_off_the_sheet_raises():
+    # Every knot of a real arm lift turned by pi in azimuth: the polish between two
+    # knots then lands on the base value's other preimage (pi - a, b + pi), about
+    # 1.9 away, while the knots are 3e-3 apart.
+    wm = rr_arm_workmap()
+    _, lam = pullback_planner(wm).plan(np.array([0.3, 0.4]), np.array([0.6, 0.0, 0.8]))
+    points = lam.points + [0.0, math.pi]
+    t = 0.5 * (lam.knots[100] + lam.knots[101])
+    guess = 0.5 * (points[100] + points[101])
+    polished, ok = newton_project(wm.f, wm.jac, guess[None], lam.base.sample(np.array([t])))
+    assert ok[0] and np.cos(polished[0, 0]) < 0.0 < np.cos(lam.points[100, 0])
+    corrupted = NumericLift(lam.knots, points, wm, lam.base)
+    with pytest.raises(LiftFailure, match="left the knot gap") as err:
+        corrupted.sample(np.array([0.0, t]))
+    assert err.value.t_star == t
+    # the uncorrupted lift polishes the same parameter within its knot gap
+    assert np.linalg.norm(wm.f(lam.at(t)) - lam.base.at(t)) <= 1e-9
+
+
 # --- batched numeric lifting -------------------------------------------------------
 
 
@@ -523,8 +542,8 @@ def _horizontal_gap(points: np.ndarray) -> float:
 
 
 def test_hopf_lifts_are_horizontal():
-    # minimum-norm steps of one knot keep the lift orthogonal to the fibers;
-    # strides longer than a knot would not, so Hopf tracking keeps a one-knot cap
+    # strides of many knots are turned along the circle fibers afterwards, so
+    # that the lift stays orthogonal to them, as minimum-norm one-knot steps keep it
     planner = pullback_planner(hopf_germ())
     # drawn as acceptance criterion 5's contract suite draws its queries
     starts, goals = planner.sample_queries(np.random.default_rng(42), 40)
@@ -532,6 +551,78 @@ def test_hopf_lifts_are_horizontal():
     for k in range(40):
         for _, lam in (batch[k], planner.plan(starts[k], goals[k])):
             assert _horizontal_gap(lam.points) <= 1e-13, k
+
+
+def _hopf_seed5_lifts(k, wm=None):
+    """The lifts of k seed-5 Hopf queries, from one-row plans and from one plan_batch."""
+    planner = pullback_planner(hopf_germ() if wm is None else wm)
+    starts, goals = planner.sample_queries(np.random.default_rng(5), k)
+    batch = planner.plan_batch(starts, goals)
+    solo = [planner.plan(e, w)[1] for e, w in zip(starts, goals)]
+    return starts, [row[1] for row in batch], solo
+
+
+def test_hopf_plans_equal_the_holonomy_reference():
+    starts, batch, solo = _hopf_seed5_lifts(200)
+    wm = hopf_germ()
+    for k, e in enumerate(starts):
+        for lam in (batch[k], solo[k]):
+            closed = ref.hopf_lift_reference(lam.base, lam.knots, e)
+            assert np.abs(lam.points - closed).max() <= 1e-5, k
+            assert _horizontal_gap(lam.points) <= 1e-12, k
+            resid = np.linalg.norm(wm.f(lam.points) - lam.base.sample(lam.knots), axis=1)
+            assert resid.max() <= geometry.LIFT_NEWTON_TOL, k
+            assert np.array_equal(lam.points[0], e)
+
+
+def _named_and_tube_workmaps():
+    maps = [make() for make in milnor.NAMED_WORKMAPS.values()]
+    return maps + [tube_fibration(g) for g in (power_germ(2), brieskorn_germ(2, 3))]
+
+
+def test_declared_fiber_generators_turn_each_fiber_into_itself():
+    declared = [wm for wm in _named_and_tube_workmaps() if wm.fiber_generator is not None]
+    assert declared
+    for wm in declared:
+        A = wm.fiber_generator
+        assert A.shape == (wm.n, wm.n)
+        assert np.array_equal(A.T @ A, np.eye(wm.n))
+        assert np.array_equal(A @ A, -np.eye(wm.n))
+        x = wm.sample(np.random.default_rng(13), 1000)
+        ax = x @ A.T
+        for theta in (0.3, 1.0, math.pi / 2, 2.5, -2.0, math.pi):
+            turned = math.cos(theta) * x + math.sin(theta) * ax
+            assert np.abs(wm.f(turned) - wm.f(x)).max() <= 1e-15 * wm.eta, (wm.name, theta)
+        assert np.abs(np.einsum("kpn,kn->kp", wm.jac(x), ax)).max() <= 1e-15 * wm.eta
+
+
+def test_hopf_without_its_generator_tracks_one_knot_at_a_time():
+    # n > p with no declared generator keeps the one-knot cap and its horizontal
+    # minimum-norm steps; the strided, rephased tables agree with them
+    bare = dataclasses.replace(hopf_germ(), fiber_generator=None)
+    _, batch, solo = _hopf_seed5_lifts(40)
+    _, bare_batch, bare_solo = _hopf_seed5_lifts(40, bare)
+    for lams, bare_lams in ((batch, bare_batch), (solo, bare_solo)):
+        for lam, one in zip(lams, bare_lams):
+            assert np.array_equal(lam.knots, one.knots)
+            assert np.abs(lam.points - one.points).max() <= 1e-9
+
+
+def test_one_row_hopf_plan_takes_few_jacobians():
+    # knot-by-knot tracking takes two Jacobians a knot, 512 a plan
+    wm = hopf_germ()
+    calls = [0]
+
+    def jac(x):
+        calls[0] += 1
+        return wm.jac(x)
+
+    planner = pullback_planner(dataclasses.replace(wm, jac=jac))
+    starts, goals = planner.sample_queries(np.random.default_rng(5), 50)
+    for e, w in zip(starts, goals):
+        calls[0] = 0
+        planner.plan(e, w)
+        assert calls[0] <= 64
 
 
 # --- planner structure ------------------------------------------------------------

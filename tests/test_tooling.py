@@ -32,6 +32,20 @@ def test_bench_pairs_names_its_file_by_the_seed_list():
     assert name("certify", "1111111", "2222222", [1, 3]).endswith("_seeds1,3.json")
 
 
+def test_cli_snapshot_reports_numeric_drift():
+    snap = _load("scripts/cli_snapshot.py", "cli_snapshot")
+    old = b'{"name": "hopf", "max": 2.29e-11, "rows": [1, 2.5], "passed": true}'
+    new = b'{"name": "hopf", "max": 9.99e-11, "rows": [1, 2.0], "passed": true}'
+    assert snap.number_drift(old, new) == 0.5
+    assert snap.number_drift(old, old) == 0.0
+    assert snap.number_drift(old, new.replace(b"hopf", b"arm")) is None
+    assert snap.number_drift(old, new.replace(b"true", b"false")) is None
+    assert snap.number_drift(old, new.replace(b"2.0]", b"2.0, 3]")) is None
+    assert snap.number_drift(old, b'{"rows": 1}') is None
+    assert snap.number_drift(b"plain text", b"plain text") is None
+    assert snap.number_drift(b"1", b"true") is None
+
+
 def test_span_tracer_installs_plans_and_uninstalls():
     spans = _load("perfbench/spans.py", "spans")
     plan = sphere_planner.SpherePlanner.plan
