@@ -4,8 +4,9 @@ They are the plain forms: the Jacobian by central differences, the
 Gauss-Newton step and the Newton projection through `np.linalg`, and the
 arm and Hopf maps written one column at a time. The package's versions
 trim numpy's per-call overhead on small blocks and must stay bit for bit
-equal to these. `arm_lift_reference` is of another kind: the arm's lift in
-closed form, which a tracked arm lift must match.
+equal to these. `arm_lift_reference` and `hopf_lift_reference` are of
+another kind: the arm's lift in closed form and the Hopf bundle's
+horizontal lift by its holonomy, which tracked lifts must match.
 """
 
 import numpy as np
@@ -176,12 +177,12 @@ def hopf_lift_reference(base, knots: np.ndarray, start: np.ndarray, fine: int = 
     rho = np.linalg.norm(g, axis=1)
     u = g / rho[:, None]
     north = u[:, 2] >= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_n, s_s = _hopf_section(u, rho, True), _hopf_section(u, rho, False)
-    s = np.where(north[:, None], s_n, s_s)
     mid, du = 0.5 * (u[:-1] + u[1:]), np.diff(u, axis=0)
     twist = (mid[:, 0] * du[:, 1] - mid[:, 1] * du[:, 0]) / 2.0
-    step = np.where(north[:-1], twist / (1.0 + mid[:, 2]), -twist / (1.0 - mid[:, 2]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # each chart's own pole
+        s_n, s_s = _hopf_section(u, rho, True), _hopf_section(u, rho, False)
+        step = np.where(north[:-1], twist / (1.0 + mid[:, 2]), -twist / (1.0 - mid[:, 2]))
+    s = np.where(north[:, None], s_n, s_s)
     old = np.where(north[:-1, None], s_n[1:], s_s[1:])  # the end of each step, in its chart
     switch = np.angle(np.sum(np.conj(s[1:]) * old, axis=1))
     z0 = start[0::2] + 1j * start[1::2]

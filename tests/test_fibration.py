@@ -575,13 +575,10 @@ def test_hopf_plans_equal_the_holonomy_reference():
             assert np.array_equal(lam.points[0], e)
 
 
-def _named_and_tube_workmaps():
-    maps = [make() for make in milnor.NAMED_WORKMAPS.values()]
-    return maps + [tube_fibration(g) for g in (power_germ(2), brieskorn_germ(2, 3))]
-
-
 def test_declared_fiber_generators_turn_each_fiber_into_itself():
-    declared = [wm for wm in _named_and_tube_workmaps() if wm.fiber_generator is not None]
+    maps = [make() for make in milnor.NAMED_WORKMAPS.values()]
+    maps += [tube_fibration(g) for g in (power_germ(2), brieskorn_germ(2, 3))]
+    declared = [wm for wm in maps if wm.fiber_generator is not None]
     assert declared
     for wm in declared:
         A = wm.fiber_generator
