@@ -116,6 +116,10 @@ def commands() -> list[tuple[str, list[str]]]:
         # two-variable monodromy transport
         ("monodromy-b23", ["monodromy", "--germ", B23, "--seed", "3"]),
         ("monodromy-two-factor", ["monodromy", "--germ", "germs/two_factor.json", "--seed", "3"]),
+        # ROADMAP item 1's row 143, 8.75e-3 from the south pole: 268 knots, 12 of them sub-knots
+        ("plan-arm-near-pole", ["plan-arm", "--start", "2.885024882791609,0.12717603675929734",
+                                "--goal",
+                                "0.7420295021146448,0.0913614848024416,0.6641124129890854"]),
     ]
 
 

@@ -167,11 +167,12 @@ class NumericOracle:
       they are tracked at once, stay in the row's knot table and count
       against HALVING_BUDGET. Near a rank drop sigma_min shrinks and the
       strides with it, so the lift cannot slip onto another preimage.
-    * Block correction. Every knot inside a stride is predicted from the
-      stride's anchor, and all of them are corrected by one
-      `newton_project` call at the same tolerance, within
-      BLOCK_NEWTON_ITERS iterations. A stride with a knot that fails is
-      tracked again from its anchor, one knot at a time.
+    * Block correction. The anchors are the only knots the first phase
+      fills, so the knots left unfilled are the ones inside strides. Each is
+      predicted from its stride's anchor, the filled knot before it, and all
+      of them are corrected by one `newton_project` call at the same
+      tolerance, within BLOCK_NEWTON_ITERS iterations. A stride with a knot
+      that fails is tracked again from its anchor, one knot at a time.
 
     The stride cap is STRIDE_CAP knots where the fibers are discrete
     (n <= p, the arm): continuity alone then fixes the lift, whatever route
@@ -233,7 +234,10 @@ class NumericOracle:
             return Planned(planned.size, [], refused)
         track = _Tracker(self, wm, ts, gammas, [path for _, path in paths])
         cap = STRIDE_CAP if wm.n <= wm.p or wm.fiber_generator is not None else 1
-        track.chain(starts[rows], 0, self.n_knots - 1, cap)
+        n = rows.size
+        track.chain(
+            np.arange(n), starts[rows], np.zeros(n, dtype=int), np.full(n, self.n_knots - 1), cap
+        )
         track.fill()
         blocks = []
         for c, (idx, path) in enumerate(paths):
@@ -247,90 +251,68 @@ class NumericOracle:
 class _Tracker:
     """The knot tables of one `NumericOracle.lift_batch` call while it tracks.
 
-    Row c of the batch owns gammas[c], its base path at the knots, and
-    steps[c], the steps between them; reach[c], the base length from knot 0
-    to each knot along the chords over STEP_RULE, so that a stride keeps the
-    step rule when its reach is at most sigma_min at its anchor, and
-    reach2[c], the squared reach of each one-knot stride; table[c], its
-    lift at the knots; and subs[c], its sub-knots as (t, x).
+    Row c of the batch owns gammas[c], its base path at the knots; reach[c],
+    the base length from knot 0 to each knot along the chords over STEP_RULE,
+    so that a stride from knot i to knot j keeps the step rule when
+    reach[c, j] - reach[c, i] is at most sigma_min at its anchor; table[c],
+    its lift at the knots, NaN until a knot is tracked, so that the knots
+    inside its strides are the ones left unfilled; and subs[c], its
+    sub-knots as (t, x).
     """
 
     def __init__(self, oracle: NumericOracle, wm: WorkMap, ts, gammas, paths):
         self.oracle, self.wm, self.ts, self.gammas, self.paths = oracle, wm, ts, gammas, paths
         rows, knots = gammas.shape[:2]
-        self.steps = np.diff(gammas, axis=1)
-        chords = row_norms(self.steps) / STEP_RULE
-        self.reach2 = chords * chords
         self.reach = np.zeros((rows, knots))
-        np.cumsum(chords, axis=1, out=self.reach[:, 1:])
-        self.table = np.empty((rows, knots, wm.n))
+        np.cumsum(row_norms(np.diff(gammas, axis=1)) / STEP_RULE, axis=1, out=self.reach[:, 1:])
+        self.table = np.full((rows, knots, wm.n), np.nan)
         self.subs = [[] for _ in range(rows)]
         self.spent = [0] * rows  # halving sub-steps per row, up to HALVING_BUDGET
         self.failed = {}  # row -> the LiftFailure that ended it
-        self.strides = []  # (rows, anchor knots, end knots, anchors, Jacobians) of long strides
 
-    def chain(self, x, i, end, cap: int, cols=None) -> None:
-        """Advance rows from x at knots i to knots end, in strides of at most
-        cap knots: the rows cols, or every row in order when cols is None.
-
-        i and end are one knot for all rows or one per row. While every row
-        takes the same stride from the same knot, as on a one-knot cap until
-        a row fails, i, j and s stay ints and a whole batch reads its tables
-        through slices; a one-knot stride reads its step and its squared
-        reach from them too.
-        """
+    def chain(self, cols, x, i, end, cap: int) -> None:
+        """Advance the rows cols from x at knots i to knots end, each row at its
+        own knot, in strides of at most cap knots; only the anchors, the knots
+        where the strides end, are written to the table."""
         wm, G, R = self.wm, self.gammas, self.reach
-        cols, sel = (np.arange(len(x)), slice(None)) if cols is None else (cols, cols)
-        s = cap
-        gc = G[sel, i]
-        self.table[sel, i] = x
+        s = np.full(cols.size, cap)
+        gc = G[cols, i]
+        self.table[cols, i] = x
         while True:
-            aligned = type(i) is int
-            j = min(i + s, end) if aligned else np.minimum(i + s, end)
-            gt = G[sel, j]
-            if aligned and s == 1:
-                step, reach2 = self.steps[sel, i], self.reach2[sel, i]
-            else:
-                step, reach = gt - gc, R[sel, j] - R[sel, i]
-                reach2 = reach * reach
+            j = np.minimum(i + s, end)
+            gt = G[cols, j]
+            reach = R[cols, j] - R[cols, i]
             J = wm.jac(x)
-            dx, _, sigma2 = gauss_newton_step(J, step, bound=True)
-            fits = reach2 <= sigma2
-            all_fit = count_nonzero(fits) == cols.size
-            if not all_fit:
-                i, j, s = (np.broadcast_to(v, cols.shape).copy() for v in (i, j, s))
-                sel, gt = cols, gt.copy()  # gt may be a view of G
-                shorter = []
-                for r in np.flatnonzero(~fits).tolist():
-                    k = self._shorten(int(cols[r]), int(i[r]), int(j[r]), sigma2[r])
-                    if k is not None:
-                        shorter.append(r)
-                    j[r] = i[r] + 1 if k is None else k  # a stride of one knot is subdivided
-                    gt[r] = G[cols[r], j[r]]
-                if shorter:
-                    dx[shorter] = gauss_newton_step(J[shorter], gt[shorter] - gc[shorter])[0]
-                    fits[shorter] = True
+            dx, _, sigma2 = gauss_newton_step(J, gt - gc, bound=True)
+            fits = reach * reach <= sigma2
+            if count_nonzero(fits) < cols.size:
+                # cut each stride that breaks the rule to its longest halving
+                # that keeps it; a stride with none is cut to one knot and subdivided
+                r = np.flatnonzero(~fits)
+                half = (j[r] - i[r])[:, None] >> np.arange(1, cap.bit_length())
+                part = R[cols[r, None], i[r, None] + half] - R[cols[r], i[r]][:, None]
+                keeps = (half > 0) & (part * part <= sigma2[r, None])
+                cut = np.where(keeps, half, 0).max(axis=1, initial=0)
+                j[r] = i[r] + np.maximum(cut, 1)
+                gt = G[cols, j]
+                r = r[cut > 0]
+                dx[r] = gauss_newton_step(J[r], gt[r] - gc[r])[0]
+                fits[r] = True
             xnew, ok = newton_project(
                 wm.f, wm.jac, x + dx, gt, tol=LIFT_NEWTON_TOL, max_iter=LIFT_NEWTON_ITERS
             )
-            if not all_fit:
-                ok &= fits
+            ok &= fits
             if count_nonzero(ok) == cols.size:
-                self.table[sel, j] = xnew
-                if cap > 1 and np.any(j - i > 1):
-                    self._record(cols, i, j, x, J, np.broadcast_to(j - i > 1, cols.shape))
-                s = min(2 * (j - i), cap) if type(j) is int else np.minimum(2 * (j - i), cap)
+                self.table[cols, j] = xnew
+                s = np.minimum(2 * (j - i), cap)
                 i, x, gc = j, xnew, gt
                 keep = i < end
             else:
-                i, j, s = (np.broadcast_to(v, cols.shape).copy() for v in (i, j, s))
-                sel = cols
-                moved, dead = ok.copy(), np.zeros(cols.size, dtype=bool)
-                for r in np.flatnonzero(~ok).tolist():
+                retry = ~ok & (j - i > 1)
+                s = np.where(retry, (j - i) // 2, s)  # from the same anchor with half the stride
+                moved, dead = ok, np.zeros(cols.size, dtype=bool)
+                for r in np.flatnonzero(~ok & ~retry).tolist():
                     c = int(cols[r])
-                    if j[r] - i[r] > 1:  # retry from the same anchor with half the stride
-                        s[r] = (j[r] - i[r]) // 2
-                        continue
                     why = "corrector diverged" if fits[r] else "step-length rule unmet"
                     try:
                         xnew[r] = self._subdivide(
@@ -342,37 +324,16 @@ class _Tracker:
                         self.failed[c] = ex
                         dead[r] = True
                 self.table[cols[moved], j[moved]] = xnew[moved]
-                if cap > 1:
-                    self._record(cols, i, j, x, J, moved & (j - i > 1))
                 s = np.where(moved, np.minimum(2 * (j - i), cap), s)
                 i = np.where(moved, j, i)
                 x = np.where(moved[:, None], xnew, x)
                 gc = np.where(moved[:, None], gt, gc)
                 keep = ~dead & (i < end)
-            if type(keep) is bool:
-                if not keep:
-                    return
-            elif count_nonzero(keep) < keep.size:
-                if not keep.any():
-                    return
-                cols, x, gc = cols[keep], x[keep], gc[keep]
-                i, s, end = (v[keep] if np.ndim(v) else v for v in (i, s, end))
-                sel = cols
-
-    def _shorten(self, c: int, i: int, j: int, sigma2: float) -> Optional[int]:
-        """The farthest knot, halving the stride from knot i to knot j, that the
-        step rule lets row c reach from i; None when even the next knot is too far."""
-        R = self.reach[c]
-        while j - i > 1:
-            j = i + (j - i) // 2
-            if (R[j] - R[i]) ** 2 <= sigma2:
-                return j
-        return None
-
-    def _record(self, cols, i, j, x, J, mask) -> None:
-        """Keep the long strides of mask for `fill`."""
-        i, j = np.broadcast_to(i, cols.shape), np.broadcast_to(j, cols.shape)
-        self.strides.append((cols[mask], i[mask], j[mask], x[mask], J[mask]))
+            live = count_nonzero(keep)
+            if live == 0:
+                return
+            if live < cols.size:
+                cols, x, gc, i, s, end = (v[keep] for v in (cols, x, gc, i, s, end))
 
     def _subdivide(self, c: int, x, t0, t1, g0, g1, depth: int, why: str) -> np.ndarray:
         """Track row c, the 1-row block x, over [t0, t1] in two halves, after `why`
@@ -402,30 +363,26 @@ class _Tracker:
         return x
 
     def fill(self) -> None:
-        """Correct every knot inside a long stride from its anchor, in one block;
-        a stride with a knot that fails is tracked again from its anchor, one
-        knot at a time."""
-        if not self.strides:
+        """Correct every knot left unfilled inside a stride from the stride's
+        anchor, the filled knot before it, in one block; a stride with a knot
+        that fails is tracked again from its anchor, one knot at a time."""
+        hole = np.isnan(self.table[:, :, 0])
+        hole[list(self.failed)] = False
+        c, k = np.nonzero(hole)
+        if c.size == 0:
             return
-        cols, i, j, xa, Ja = (np.concatenate(v) for v in zip(*self.strides))
-        live = np.array([c not in self.failed for c in cols.tolist()], dtype=bool)
-        cols, i, j, xa, Ja = cols[live], i[live], j[live], xa[live], Ja[live]
-        inner = j - i - 1
-        rec = np.repeat(np.arange(cols.size), inner)  # the stride of each inner knot
-        k = np.arange(rec.size) - np.repeat(np.cumsum(inner) - inner, inner) + i[rec] + 1
-        c = cols[rec]
-        gt = self.gammas[c, k]
-        dx = gauss_newton_step(Ja[rec], gt - self.gammas[c, i[rec]])[0]
-        wm = self.wm
+        i = np.maximum.accumulate(np.where(hole, 0, np.arange(hole.shape[1])), axis=1)[c, k]
+        wm, G, xa = self.wm, self.gammas, self.table[c, i]
+        dx = gauss_newton_step(wm.jac(xa), G[c, k] - G[c, i])[0]
         xk, ok = newton_project(
-            wm.f, wm.jac, xa[rec] + dx, gt, tol=LIFT_NEWTON_TOL, max_iter=BLOCK_NEWTON_ITERS
+            wm.f, wm.jac, xa + dx, G[c, k], tol=LIFT_NEWTON_TOL, max_iter=BLOCK_NEWTON_ITERS
         )
         self.table[c, k] = xk
         if count_nonzero(ok) < ok.size:
-            last = np.zeros(cols.size, dtype=int)
-            np.maximum.at(last, rec[~ok], k[~ok])
-            bad = np.flatnonzero(last)
-            self.chain(xa[bad], i[bad], last[bad], 1, cols[bad])
+            c, i, k = c[~ok], i[~ok], k[~ok]  # each stride's failing knots, then its last one
+            last = np.append((c[1:] != c[:-1]) | (i[1:] != i[:-1]), True)
+            c, i, k = c[last], i[last], k[last]
+            self.chain(c, self.table[c, i], i, k, 1)
 
     def knot_table(self, c: int) -> tuple[np.ndarray, np.ndarray]:
         """Row c's knots, the uniform ones and its sub-knots, and its lift at them.

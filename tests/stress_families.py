@@ -13,9 +13,11 @@ a seeded generator and returns them as two (k, m+1) blocks:
   detour's pivot field vanishes, with starts near the north pole half the
   time so that the chart region gives out too.
 
-`arm_near_pole_queries` aims at the arm's rank drops instead: its base paths
-pass a given distance from a pole, where a numeric lift that steps too far
-lands on the other preimage sheet.
+`arm_near_pole_queries` and `arm_margin_queries` aim at the arm's rank drops
+instead: the first's base paths pass a given distance from a pole, where a
+numeric lift that steps too far lands on the other preimage sheet; the
+second's goals lie a given distance from a pole, about the margin inside which
+the numeric oracle refuses them.
 """
 
 import math
@@ -118,3 +120,11 @@ def arm_near_pole_queries(rng, d: float, k: int):
     other = np.arange(k) % 2 == 1
     starts = np.stack([np.where(other, np.pi - a, a), np.where(other, b + np.pi, b)], axis=1)
     return starts + 2.0 * np.pi * rng.integers(-1, 2, (k, 2)), t2
+
+
+def arm_margin_queries(rng, k: int, lo: float, hi: float):
+    """k arm queries (starts, goals) with uniform start angles and goals at chord
+    distance lo..hi from the poles, +e3 and -e3 in turn."""
+    poles = np.zeros((k, 3))
+    poles[:, 2] = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+    return rng.uniform(-math.pi, math.pi, (k, 2)), _near(rng, poles, rng.uniform(lo, hi, k))

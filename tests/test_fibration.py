@@ -41,6 +41,7 @@ from tubeplan.verify import run_contract_suite
 
 from conftest import random_unit
 import numeric_reference as ref
+import stress_families as fam
 from numeric_reference import jacobian_fd
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -410,7 +411,8 @@ def _far_goals(rng, k):
 
 
 def _assert_same_as_solo(planner, starts, goals, results):
-    """Every row of a batch equals planning its query alone, bit for bit."""
+    """Every row of a batch equals planning its query alone, bit for bit, and
+    every knot of its table is finite."""
     for e, w, got in zip(starts, goals, results):
         try:
             idx, lam = planner.plan(e, w)
@@ -422,6 +424,7 @@ def _assert_same_as_solo(planner, starts, goals, results):
         assert got[0] == idx
         assert np.array_equal(got[1].knots, lam.knots)
         assert np.array_equal(got[1].points, lam.points)
+        assert np.isfinite(lam.points).all()
 
 
 @pytest.mark.parametrize("name", ["arm", "hopf"])
@@ -441,6 +444,16 @@ def test_plan_batch_equals_plan_per_query(name):
     assert failed == ([2] if name == "arm" else [])
     if name == "arm":
         assert results[2].t_star == 1.0
+
+
+@pytest.mark.parametrize("d", [1e-2, 3e-3, 1e-3, 3e-4])
+def test_near_pole_plan_batch_equals_plan(d):
+    # near the pole the batch rows cut strides, take sub-knots and are tracked
+    # again after the block correction, each at its own knot
+    starts, goals = fam.arm_near_pole_queries(np.random.default_rng(500), d, 40)
+    planner = pullback_planner(rr_arm_workmap())
+    results = planner.plan_batch(starts[:10], goals[:10])
+    _assert_same_as_solo(planner, starts[:10], goals[:10], results)
 
 
 class _NoHalving(NumericOracle):

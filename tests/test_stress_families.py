@@ -4,8 +4,8 @@ Each dispatch-boundary family goes through the contract suite, whose
 minimal-index scan runs row by row with `Region.member`, and through
 `plan_batch` against `plan`, which dispatches one row at a time: a block
 margin that differs from its row margin by an ulp shows as another region.
-The arm's near-pole family goes through the numeric pullback planner and the
-arm's closed-form lift.
+The arm's near-pole and margin families go through the numeric pullback
+planner and the arm's closed-form lift.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 import stress_families as fam
 from numeric_reference import arm_lift_reference
 from tubeplan.errors import LiftFailure
-from tubeplan.fibration import pullback_planner, rr_arm_workmap
+from tubeplan.fibration import NumericOracle, pullback_planner, rr_arm_workmap
 from tubeplan.geometry import path_to_json
 from tubeplan.sphere_planner import build_planner
 from tubeplan.verify import run_contract_suite
@@ -103,7 +103,30 @@ def test_arm_near_pole_family_stays_on_its_sheet_or_is_refused(d):
             continue
         region, lam = batch[k]
         assert region == 1, k  # the chart segment that passes the pole
-        closed = arm_lift_reference(lam.base, lam.knots, e)
-        gap = np.abs(lam.points - closed)
-        assert gap[:, 0].max() <= 1e-8, k
-        assert (np.abs(np.cos(closed[:, 0])) * gap[:, 1]).max() <= 1e-8, k
+        _assert_on_the_closed_form(lam, e, k)
+
+
+def _assert_on_the_closed_form(lam, start, k):
+    """The arm lift lam equals the closed-form lift from start on the fiber's
+    scale: a exactly, b weighted by |cos a|."""
+    closed = arm_lift_reference(lam.base, lam.knots, start)
+    gap = np.abs(lam.points - closed)
+    assert gap[:, 0].max() <= 1e-8, k
+    assert (np.abs(np.cos(closed[:, 0])) * gap[:, 1]).max() <= 1e-8, k
+
+
+def test_arm_goals_at_the_singular_margin_track_or_are_refused():
+    # Goals just outside the margin are tracked onto their own sheet or refused
+    # with a LiftFailure, never silently wrong; goals inside it are refused
+    # before any tracking.
+    margin = NumericOracle.singular_margin
+    planner = pullback_planner(rr_arm_workmap())
+    rng = np.random.default_rng(501)
+    starts, goals = fam.arm_margin_queries(rng, 80, 1.0001 * margin, 1.5 * margin)
+    batch = planner.plan_batch(starts, goals)
+    for k, e in enumerate(starts):
+        if not isinstance(batch[k], LiftFailure):
+            _assert_on_the_closed_form(batch[k][1], e, k)
+    starts, goals = fam.arm_margin_queries(rng, 20, 0.1 * margin, 0.9999 * margin)
+    for k, row in enumerate(planner.plan_batch(starts, goals)):
+        assert isinstance(row, LiftFailure) and row.t_star == 1.0, k
