@@ -16,7 +16,7 @@ a seeded generator and returns them as two (k, m+1) blocks:
 `arm_near_pole_queries` and `arm_margin_queries` aim at the arm's rank drops
 instead: the first's base paths pass a given distance from a pole, where a
 numeric lift that steps too far lands on the other preimage sheet; the
-second's goals lie a given distance from a pole, about the margin inside which
+second's goals lie a given distance from a pole, near the margin inside which
 the numeric oracle refuses them.
 """
 

@@ -448,8 +448,8 @@ def test_plan_batch_equals_plan_per_query(name):
 
 @pytest.mark.parametrize("d", [1e-2, 3e-3, 1e-3, 3e-4])
 def test_near_pole_plan_batch_equals_plan(d):
-    # near the pole the batch rows cut strides, take sub-knots and are tracked
-    # again after the block correction, each at its own knot
+    # near the pole the rows of a batch cut their strides and take sub-knots,
+    # each row at its own knot; planned alone, each is its batch's only row
     starts, goals = fam.arm_near_pole_queries(np.random.default_rng(500), d, 40)
     planner = pullback_planner(rr_arm_workmap())
     results = planner.plan_batch(starts[:10], goals[:10])

@@ -108,7 +108,7 @@ def test_arm_near_pole_family_stays_on_its_sheet_or_is_refused(d):
 
 def _assert_on_the_closed_form(lam, start, k):
     """The arm lift lam equals the closed-form lift from start on the fiber's
-    scale: a exactly, b weighted by |cos a|."""
+    scale: a to 1e-8, and b to 1e-8 once weighted by |cos a|."""
     closed = arm_lift_reference(lam.base, lam.knots, start)
     gap = np.abs(lam.points - closed)
     assert gap[:, 0].max() <= 1e-8, k
