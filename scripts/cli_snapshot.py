@@ -14,8 +14,9 @@ checkouts compare byte for byte with `diff -r OUTDIR1 OUTDIR2`.
 into it, each checkout runs the same command list in a fresh interpreter
 with its snapshot in a temporary directory, and the commands whose files
 differ are printed. Where both stdouts of such a command parse as JSON of
-the same shape, differing in numbers alone, the largest absolute change of
-a number is printed beside it. Exit status 1 when any command differs, 0
+the same shape, or as CSV tables with the same header and as many rows,
+differing in numbers alone, the largest absolute change of a number is
+printed beside it. Exit status 1 when any command differs, 0
 when all are identical.
 """
 
@@ -172,12 +173,26 @@ def largest_number_change(a, b):
     return worst
 
 
+def csv_table(out: bytes):
+    """A CSV stdout as a header of names and rows of numbers, each row as long
+    as the header; None for anything else."""
+    header, *rows = (line.split(",") for line in out.decode().splitlines() or [""])
+    if not rows or any(len(row) != len(header) for row in rows):
+        return None
+    try:
+        return [header, [[float(v) for v in row] for row in rows]]
+    except ValueError:
+        return None
+
+
 def number_drift(out0: bytes, out1: bytes):
-    """largest_number_change of two stdouts, or None unless both parse as JSON."""
+    """largest_number_change of two stdouts, or None unless both parse as JSON
+    or both as CSV tables."""
     try:
         return largest_number_change(json.loads(out0), json.loads(out1))
     except ValueError:
-        return None
+        tables = csv_table(out0), csv_table(out1)
+        return None if None in tables else largest_number_change(*tables)
 
 
 def against(rev: str) -> int:

@@ -53,11 +53,14 @@ HALVING_BUDGET = 1024
 # turns by at most about half a radian a stride.
 STEP_RULE = 0.5
 # Choice: the longest stride, in knots, where `NumericOracle` lets strides grow.
-STRIDE_CAP = 16
-# Choice: Newton iterations of the block correction. A knot predicted from its
-# anchor under the step rule converges quadratically, in at most 7 iterations
-# over 400 seed-3 arm plans; a knot that needs more is poorly predicted or
-# poorly conditioned, and its stride is tracked again knot by knot.
+# Away from the poles most strides reach it: a one-row plan takes about 9 rounds
+# of strides on the arm and 4 on Hopf. Longer caps take fewer rounds (6.0 at 256)
+# but make 10-row batches slower again.
+STRIDE_CAP = 64
+# Choice: Newton iterations of the block correction. A knot predicted through
+# the anchors of its stride under the step rule converges quadratically, in at
+# most 3 iterations over 400 seed-3 arm plans; a knot that needs more is poorly
+# predicted or poorly conditioned, and its stride is tracked again knot by knot.
 BLOCK_NEWTON_ITERS = 8
 
 
@@ -161,15 +164,19 @@ class NumericOracle:
       path's length over it (the sum of its knot-to-knot chords, which
       bounds the chord to every knot inside) is at most STEP_RULE times a
       lower bound on sigma_min(Df) at the anchor, which the predictor's
-      normal matrix gives. A stride that breaks this rule or whose
-      corrector fails is halved, and each taken stride doubles the next
-      one, up to the stride cap. Below one knot the halves are sub-knots:
-      they are tracked at once, stay in the row's knot table and count
-      against HALVING_BUDGET. Near a rank drop sigma_min shrinks and the
-      strides with it, so the lift cannot slip onto another preimage.
+      normal matrix gives. A stride that breaks this rule is cut to its
+      longest prefix that keeps it, and one whose corrector fails is halved;
+      each taken stride doubles the next one, up to the stride cap. A
+      one-knot step that breaks the rule or fails its corrector is halved
+      below the knot grid, into sub-knots: they are tracked at once, stay
+      in the row's knot table and count against HALVING_BUDGET. Near a rank
+      drop sigma_min shrinks and the strides with it, so the lift cannot
+      slip onto another preimage.
     * Block correction. The anchors are the only knots the first phase
       fills, so the knots left unfilled are the ones inside strides. Each is
-      predicted from its stride's anchor, the filled knot before it, and all
+      predicted through both anchors of its stride, the filled knots before
+      and after it: the tangent predictor from the first, plus its miss at
+      the second scaled by the square of the knot's place in the stride. All
       of them are corrected by one `newton_project` call at the same
       tolerance, within BLOCK_NEWTON_ITERS iterations. A stride with a knot
       that fails is tracked again from its anchor, one knot at a time.
@@ -254,10 +261,13 @@ class _Tracker:
     Row c of the batch owns gammas[c], its base path at the knots; reach[c],
     the base length from knot 0 to each knot along the chords over STEP_RULE,
     so that a stride from knot i to knot j keeps the step rule when
-    reach[c, j] - reach[c, i] is at most sigma_min at its anchor; table[c],
+    reach[c, j] - reach[c, i] is at most sigma_min at its anchor (reach never
+    falls along a row, so the knots that keep the rule from an anchor are the
+    first ones, and a stride is cut to them by counting them); table[c],
     its lift at the knots, NaN until a knot is tracked, so that the knots
     inside its strides are the ones left unfilled; and subs[c], its
-    sub-knots as (t, x).
+    sub-knots as (t, x). `chain` fills the anchors, `fill` the knots between
+    them, and `knot_table` reads a row back.
     """
 
     def __init__(self, oracle: NumericOracle, wm: WorkMap, ts, gammas, paths):
@@ -274,7 +284,7 @@ class _Tracker:
         """Advance the rows cols from x at knots i to knots end, each row at its
         own knot, in strides of at most cap knots; only the anchors, the knots
         where the strides end, are written to the table."""
-        wm, G, R = self.wm, self.gammas, self.reach
+        wm, G, R, project = self.wm, self.gammas, self.reach, self._correct
         s = np.full(cols.size, cap)
         gc = G[cols, i]
         self.table[cols, i] = x
@@ -285,23 +295,24 @@ class _Tracker:
             J = wm.jac(x)
             dx, _, sigma2 = gauss_newton_step(J, gt - gc, bound=True)
             fits = reach * reach <= sigma2
-            if count_nonzero(fits) < cols.size:
-                # cut each stride that breaks the rule to its longest halving
-                # that keeps it; a stride with none is cut to one knot and subdivided
+            if count_nonzero(fits) == cols.size:
+                xnew, ok = project(x + dx, gt)
+            else:
+                # cut each stride that breaks the rule to its longest prefix that
+                # keeps it: reach grows along the stride, so the knots that keep it
+                # come first; a stride with none is cut to one knot and goes to
+                # _subdivide without a corrector call
                 r = np.flatnonzero(~fits)
-                half = (j[r] - i[r])[:, None] >> np.arange(1, cap.bit_length())
-                part = R[cols[r, None], i[r, None] + half] - R[cols[r], i[r]][:, None]
-                keeps = (half > 0) & (part * part <= sigma2[r, None])
-                cut = np.where(keeps, half, 0).max(axis=1, initial=0)
+                inner = np.minimum(i[r, None] + np.arange(1, cap), j[r, None])
+                part = R[cols[r, None], inner] - R[cols[r], i[r]][:, None]
+                cut = np.count_nonzero(part * part <= sigma2[r, None], axis=1)
                 j[r] = i[r] + np.maximum(cut, 1)
                 gt = G[cols, j]
                 r = r[cut > 0]
                 dx[r] = gauss_newton_step(J[r], gt[r] - gc[r])[0]
                 fits[r] = True
-            xnew, ok = newton_project(
-                wm.f, wm.jac, x + dx, gt, tol=LIFT_NEWTON_TOL, max_iter=LIFT_NEWTON_ITERS
-            )
-            ok &= fits
+                xnew, ok = x.copy(), fits.copy()
+                xnew[fits], ok[fits] = project(x[fits] + dx[fits], gt[fits])
             if count_nonzero(ok) == cols.size:
                 self.table[cols, j] = xnew
                 s = np.minimum(2 * (j - i), cap)
@@ -335,6 +346,11 @@ class _Tracker:
             if live < cols.size:
                 cols, x, gc, i, s, end = (v[keep] for v in (cols, x, gc, i, s, end))
 
+    def _correct(self, x0, g):
+        """The Newton corrector of a tracked step: x0 projected onto the fibers over g."""
+        wm = self.wm
+        return newton_project(wm.f, wm.jac, x0, g, tol=LIFT_NEWTON_TOL, max_iter=LIFT_NEWTON_ITERS)
+
     def _subdivide(self, c: int, x, t0, t1, g0, g1, depth: int, why: str) -> np.ndarray:
         """Track row c, the 1-row block x, over [t0, t1] in two halves, after `why`
         stopped it over the whole of it `depth` halvings deep. A half that breaks
@@ -353,9 +369,7 @@ class _Tracker:
             dx, _, sigma2 = gauss_newton_step(wm.jac(x), step, bound=True)
             why = "step-length rule unmet"
             if (row_norms(step)[0] / STEP_RULE) ** 2 <= sigma2[0]:
-                xnew, ok = newton_project(
-                    wm.f, wm.jac, x + dx, gb, tol=LIFT_NEWTON_TOL, max_iter=LIFT_NEWTON_ITERS
-                )
+                xnew, ok = self._correct(x + dx, gb)
                 why = None if ok[0] else "corrector diverged"
             x = xnew if why is None else self._subdivide(c, x, a, b, ga, gb, depth + 1, why)
             if b == tm:
@@ -363,26 +377,35 @@ class _Tracker:
         return x
 
     def fill(self) -> None:
-        """Correct every knot left unfilled inside a stride from the stride's
-        anchor, the filled knot before it, in one block; a stride with a knot
-        that fails is tracked again from its anchor, one knot at a time."""
+        """Correct every knot left unfilled inside a stride in one block, each
+        predicted through both anchors of its stride, the filled knots a before
+        it and b after it; a stride with a knot that fails is tracked again from
+        its anchor a, one knot at a time.
+
+        The prediction at k, with s = (k - a) / (b - a), is the tangent predictor
+        x_a + J_a^+ (gamma_k - gamma_a) plus s^2 times its miss at b, so that it
+        ends on x_b; both take one Gauss-Newton step from J_a."""
         hole = np.isnan(self.table[:, :, 0])
         hole[list(self.failed)] = False
         c, k = np.nonzero(hole)
         if c.size == 0:
             return
-        i = np.maximum.accumulate(np.where(hole, 0, np.arange(hole.shape[1])), axis=1)[c, k]
-        wm, G, xa = self.wm, self.gammas, self.table[c, i]
-        dx = gauss_newton_step(wm.jac(xa), G[c, k] - G[c, i])[0]
+        knots = np.arange(hole.shape[1])
+        a = np.maximum.accumulate(np.where(hole, 0, knots), axis=1)[c, k]
+        b = np.minimum.accumulate(np.where(hole, knots[-1], knots)[:, ::-1], axis=1)[c, -1 - k]
+        wm, G, T = self.wm, self.gammas, self.table
+        xa, ga, s2 = T[c, a], G[c, a], (((k - a) / (b - a)) ** 2)[:, None]
+        dx = gauss_newton_step(wm.jac(xa), G[c, k] - ga - s2 * (G[c, b] - ga))[0]
         xk, ok = newton_project(
-            wm.f, wm.jac, xa + dx, G[c, k], tol=LIFT_NEWTON_TOL, max_iter=BLOCK_NEWTON_ITERS
+            wm.f, wm.jac, xa + s2 * (T[c, b] - xa) + dx, G[c, k],
+            tol=LIFT_NEWTON_TOL, max_iter=BLOCK_NEWTON_ITERS,
         )
-        self.table[c, k] = xk
+        T[c, k] = xk
         if count_nonzero(ok) < ok.size:
-            c, i, k = c[~ok], i[~ok], k[~ok]  # each stride's failing knots, then its last one
-            last = np.append((c[1:] != c[:-1]) | (i[1:] != i[:-1]), True)
-            c, i, k = c[last], i[last], k[last]
-            self.chain(c, self.table[c, i], i, k, 1)
+            c, a, k = c[~ok], a[~ok], k[~ok]  # each stride's failing knots, then its last one
+            last = np.append((c[1:] != c[:-1]) | (a[1:] != a[:-1]), True)
+            c, a, k = c[last], a[last], k[last]
+            self.chain(c, T[c, a], a, k, 1)
 
     def knot_table(self, c: int) -> tuple[np.ndarray, np.ndarray]:
         """Row c's knots, the uniform ones and its sub-knots, and its lift at them.

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the numeric core against.
 
 They are the plain forms: the Jacobian by central differences, the
-Gauss-Newton step and the Newton projection through `np.linalg`, and the
-arm and Hopf maps written one column at a time. The package's versions
+Gauss-Newton step and the Newton projection through `np.linalg`, the
+tracker's stride cut as a loop over knots, and the arm and Hopf maps
+written one column at a time. The package's versions
 trim numpy's per-call overhead on small blocks and must stay bit for bit
 equal to these. `arm_lift_reference` and `hopf_lift_reference` are of
 another kind: the arm's lift in closed form and the Hopf bundle's
@@ -76,6 +77,20 @@ def newton_project(f, jac, x0s, targets, tol=1e-12, max_iter=50):
     if live is not None:
         xs[live] = x
     return xs, ok
+
+
+def stride_cut(reach: np.ndarray, i: int, j: int, sigma2: float) -> int:
+    """The longest stride from knot i to at most knot j, in knots, whose base
+    length keeps the step rule at an anchor with sigma_min^2 >= sigma2; 0 when
+    not even one knot does. reach is the row's base length from knot 0 over
+    STEP_RULE, as `_Tracker.reach` holds it."""
+    n = 0
+    while i + n < j:
+        length = reach[i + n + 1] - reach[i]
+        if length * length > sigma2:
+            break
+        n += 1
+    return n
 
 
 def rr_f(x: np.ndarray) -> np.ndarray:

@@ -456,6 +456,81 @@ def test_near_pole_plan_batch_equals_plan(d):
     _assert_same_as_solo(planner, starts[:10], goals[:10], results)
 
 
+def _tables_before_fill(monkeypatch, plan):
+    """Run plan() and return, for each tracker it makes, the tracker, a copy of
+    its knot table before `fill` (the anchors alone) and its sub-knot times."""
+    seen, fill = [], fibration._Tracker.fill
+
+    def spy(track):
+        seen.append((track, track.table.copy(), [[t for t, _ in sub] for sub in track.subs]))
+        fill(track)
+
+    monkeypatch.setattr(fibration._Tracker, "fill", spy)
+    plan()
+    return seen
+
+
+def _corrector_converges(wm, x, J, g0, g1) -> bool:
+    dx = ref.gauss_newton_step(J, (g1 - g0)[None])[0]
+    tol, iters = geometry.LIFT_NEWTON_TOL, LIFT_NEWTON_ITERS
+    return bool(ref.newton_project(wm.f, wm.jac, x + dx, g1[None], tol=tol, max_iter=iters)[1][0])
+
+
+def _assert_strides_are_the_longest_kept(track, table, subs, cap):
+    """Each stride between consecutive anchors of a row keeps the step rule at its
+    anchor and is the longest that does (`numeric_reference.stride_cut`), up to
+    the end and to the stride allowed there (cap at first, then twice the last
+    stride, up to cap), unless each longer halving of it failed its corrector; a
+    one-knot step with sub-knots in it is one where even that step failed."""
+    wm, G, R, ts = track.wm, track.gammas, track.reach, track.ts
+    end = ts.size - 1
+    for c in range(table.shape[0]):
+        anchors = np.flatnonzero(~np.isnan(table[c, :, 0])).tolist()
+        split = set((np.searchsorted(ts, subs[c]) - 1).tolist())  # knots a sub-knot follows
+        allowed = cap
+        for a, b in zip(anchors[:-1], anchors[1:]):
+            x = table[c, a][None]
+            J = wm.jac(x)
+            sigma2 = ref.gauss_newton_step(J, (G[c, b] - G[c, a])[None], bound=True)[2][0]
+            longest = ref.stride_cut(R[c], a, min(a + allowed, end), sigma2)
+            if a in split:
+                assert b == a + 1, (c, a, b)
+            else:
+                assert (R[c, b] - R[c, a]) ** 2 <= sigma2, (c, a, b)
+            tried, taken = longest, 0 if a in split else b - a
+            while tried > taken:
+                assert not _corrector_converges(wm, x, J, G[c, a], G[c, a + tried]), (c, a, tried)
+                tried //= 2
+            assert tried == taken, (c, a, b, longest)
+            allowed = min(2 * (b - a), cap)
+
+
+@pytest.mark.parametrize("d", [1e-2, 3e-3, 1e-3, 3e-4])
+def test_near_pole_strides_equal_the_loop_cut(d, monkeypatch):
+    starts, goals = fam.arm_near_pole_queries(np.random.default_rng(500), d, 40)
+    planner = pullback_planner(rr_arm_workmap())
+    (seen,) = _tables_before_fill(monkeypatch, lambda: planner.plan_batch(starts, goals))
+    _assert_strides_are_the_longest_kept(*seen, fibration.STRIDE_CAP)
+    assert np.isnan(seen[1][:, 1:-1, 0]).any()  # strides left knots for the block
+
+
+def test_arm_strides_equal_the_loop_cut(monkeypatch):
+    wm = rr_arm_workmap()
+    planner = pullback_planner(wm)
+    rng = np.random.default_rng(3)
+    starts, goals = wm.sample(rng, 200), normalize(rng.standard_normal((200, 3)))
+    (seen,) = _tables_before_fill(monkeypatch, lambda: planner.plan_batch(starts, goals))
+    _assert_strides_are_the_longest_kept(*seen, fibration.STRIDE_CAP)
+    for e, w in zip(starts[:20], goals[:20]):
+        (seen,) = _tables_before_fill(monkeypatch, lambda: planner.plan(e, w))
+        _assert_strides_are_the_longest_kept(*seen, fibration.STRIDE_CAP)
+    # the middle row's corrector fails where f turns NaN, so a stride is halved
+    nan_map, starts, goals = _nan_past_azimuth()
+    planner = pullback_planner(nan_map)
+    (seen,) = _tables_before_fill(monkeypatch, lambda: planner.plan_batch(starts, goals))
+    _assert_strides_are_the_longest_kept(*seen, fibration.STRIDE_CAP)
+
+
 class _NoHalving(NumericOracle):
     max_halvings = 0
 
@@ -485,17 +560,23 @@ def test_lift_batch_halves_a_row_and_keeps_it_in_the_batch():
     assert [isinstance(r, LiftFailure) for r in unhalved] == [True, False, False]
 
 
-def test_lift_batch_failing_row_leaves_the_others_alone():
-    # f is NaN beyond azimuth 0.4, which only the middle row must cross
+def _nan_past_azimuth():
+    """The arm with f NaN beyond azimuth 0.4, and three queries of which only the
+    middle one must cross it."""
     wm = rr_arm_workmap()
 
     def f(x):
         x = np.asarray(x, dtype=float)
         return np.where((x[..., 1] > 0.4)[..., None], np.nan, wm.f(x))
 
-    planner = pullback_planner(dataclasses.replace(wm, f=f))
     starts = np.array([[0.2, -0.1], [0.3, 0.0], [0.2, -0.3]])
     goals = np.array([wm.f(np.array([0.5, 0.3])), [0.6, 0.8, 0.0], wm.f(np.array([0.4, -0.05]))])
+    return dataclasses.replace(wm, f=f), starts, goals
+
+
+def test_lift_batch_failing_row_leaves_the_others_alone():
+    wm, starts, goals = _nan_past_azimuth()
+    planner = pullback_planner(wm)
     results = planner.plan_batch(starts, goals)
     assert [isinstance(r, LiftFailure) for r in results] == [False, True, False]
     assert str(results[1]) == "corrector diverged after 12 halvings"
@@ -618,9 +699,8 @@ def test_hopf_without_its_generator_tracks_one_knot_at_a_time():
             assert np.abs(lam.points - one.points).max() <= 1e-9
 
 
-def test_one_row_hopf_plan_takes_few_jacobians():
-    # knot-by-knot tracking takes two Jacobians a knot, 512 a plan
-    wm = hopf_germ()
+def _jacobians_per_plan(wm, seed: int, k: int) -> list[int]:
+    """The `jac` calls of each of k one-row plans of seed's queries."""
     calls = [0]
 
     def jac(x):
@@ -628,11 +708,23 @@ def test_one_row_hopf_plan_takes_few_jacobians():
         return wm.jac(x)
 
     planner = pullback_planner(dataclasses.replace(wm, jac=jac))
-    starts, goals = planner.sample_queries(np.random.default_rng(5), 50)
-    for e, w in zip(starts, goals):
+    counts = []
+    for e, w in zip(*planner.sample_queries(np.random.default_rng(seed), k)):
         calls[0] = 0
         planner.plan(e, w)
-        assert calls[0] <= 64
+        counts.append(calls[0])
+    return counts
+
+
+def test_one_row_hopf_plan_takes_few_jacobians():
+    # knot-by-knot tracking takes two Jacobians a knot, 512 a plan; strides of
+    # up to 16 knots with one-anchor predictors took up to 58
+    assert max(_jacobians_per_plan(hopf_germ(), 5, 50)) <= 32
+
+
+def test_one_row_arm_plan_takes_few_jacobians():
+    # strides of up to 16 knots with one-anchor predictors took a median of 57
+    assert np.median(_jacobians_per_plan(rr_arm_workmap(), 5, 50)) <= 40
 
 
 # --- planner structure ------------------------------------------------------------

@@ -44,6 +44,18 @@ def test_cli_snapshot_reports_numeric_drift():
     assert snap.number_drift(old, b'{"rows": 1}') is None
     assert snap.number_drift(b"plain text", b"plain text") is None
     assert snap.number_drift(b"1", b"true") is None
+    # a CSV table: a header of names, then rows of numbers
+    old = b"t,x1,x2\n0.0,0.3,0.4\n0.5,0.25,1e-3\n"
+    new = b"t,x1,x2\n0.0,0.3,0.4\n0.5,0.5,1e-3\n"
+    assert snap.number_drift(old, new) == 0.25
+    assert snap.number_drift(old, old) == 0.0
+    assert snap.number_drift(old, new.replace(b"x2", b"y2")) is None
+    assert snap.number_drift(old, new + b"1.0,0.1,0.2\n") is None
+    assert snap.number_drift(old, new.replace(b"0.5,0.5", b"0.5")) is None
+    assert snap.number_drift(old, new.replace(b"1e-3", b"nope")) is None
+    assert snap.number_drift(old, b'{"t": [0.0, 0.5]}') is None
+    assert snap.number_drift(b"t,x1\n", b"t,x1\n") is None
+    assert snap.number_drift(b"", b"") is None
 
 
 def test_span_tracer_installs_plans_and_uninstalls():
