@@ -53,9 +53,9 @@ HALVING_BUDGET = 1024
 # turns by at most about half a radian a stride.
 STEP_RULE = 0.5
 # Choice: the longest stride, in knots, where `NumericOracle` lets strides grow.
-# Away from the poles most strides reach it: a one-row plan takes about 9 rounds
-# of strides on the arm and 4 on Hopf. Longer caps take fewer rounds (6.0 at 256)
-# but make 10-row batches slower again.
+# Away from the poles most strides reach it: a one-row plan takes about 10
+# rounds of strides on the arm and 4 on Hopf, against 18 and 16 at a cap of 16.
+# Longer caps save few arm rounds (9.3 at 256) and make 10-row batches slower.
 STRIDE_CAP = 64
 # Choice: Newton iterations of the block correction. A knot predicted through
 # the anchors of its stride under the step rule converges quadratically, in at
@@ -284,7 +284,7 @@ class _Tracker:
         """Advance the rows cols from x at knots i to knots end, each row at its
         own knot, in strides of at most cap knots; only the anchors, the knots
         where the strides end, are written to the table."""
-        wm, G, R, project = self.wm, self.gammas, self.reach, self._correct
+        wm, G, R = self.wm, self.gammas, self.reach
         s = np.full(cols.size, cap)
         gc = G[cols, i]
         self.table[cols, i] = x
@@ -296,7 +296,7 @@ class _Tracker:
             dx, _, sigma2 = gauss_newton_step(J, gt - gc, bound=True)
             fits = reach * reach <= sigma2
             if count_nonzero(fits) == cols.size:
-                xnew, ok = project(x + dx, gt)
+                xnew, ok = self._correct(x + dx, gt)
             else:
                 # cut each stride that breaks the rule to its longest prefix that
                 # keeps it: reach grows along the stride, so the knots that keep it
@@ -312,7 +312,7 @@ class _Tracker:
                 dx[r] = gauss_newton_step(J[r], gt[r] - gc[r])[0]
                 fits[r] = True
                 xnew, ok = x.copy(), fits.copy()
-                xnew[fits], ok[fits] = project(x[fits] + dx[fits], gt[fits])
+                xnew[fits], ok[fits] = self._correct(x[fits] + dx[fits], gt[fits])
             if count_nonzero(ok) == cols.size:
                 self.table[cols, j] = xnew
                 s = np.minimum(2 * (j - i), cap)
@@ -384,7 +384,8 @@ class _Tracker:
 
         The prediction at k, with s = (k - a) / (b - a), is the tangent predictor
         x_a + J_a^+ (gamma_k - gamma_a) plus s^2 times its miss at b, so that it
-        ends on x_b; both take one Gauss-Newton step from J_a."""
+        would end on x_b; it takes the tangent predictor's one Gauss-Newton step
+        from J_a, with another right-hand side."""
         hole = np.isnan(self.table[:, :, 0])
         hole[list(self.failed)] = False
         c, k = np.nonzero(hole)

@@ -497,7 +497,7 @@ def _assert_strides_are_the_longest_kept(track, table, subs, cap):
                 assert b == a + 1, (c, a, b)
             else:
                 assert (R[c, b] - R[c, a]) ** 2 <= sigma2, (c, a, b)
-            tried, taken = longest, 0 if a in split else b - a
+            tried, taken = longest, (0 if a in split else b - a)
             while tried > taken:
                 assert not _corrector_converges(wm, x, J, G[c, a], G[c, a + tried]), (c, a, tried)
                 tried //= 2
@@ -511,7 +511,6 @@ def test_near_pole_strides_equal_the_loop_cut(d, monkeypatch):
     planner = pullback_planner(rr_arm_workmap())
     (seen,) = _tables_before_fill(monkeypatch, lambda: planner.plan_batch(starts, goals))
     _assert_strides_are_the_longest_kept(*seen, fibration.STRIDE_CAP)
-    assert np.isnan(seen[1][:, 1:-1, 0]).any()  # strides left knots for the block
 
 
 def test_arm_strides_equal_the_loop_cut(monkeypatch):
