@@ -178,8 +178,9 @@ class NumericOracle:
       and after it: the tangent predictor from the first, plus its miss at
       the second scaled by the square of the knot's place in the stride. All
       of them are corrected by one `newton_project` call at the same
-      tolerance, within BLOCK_NEWTON_ITERS iterations. A stride with a knot
-      that fails is tracked again from its anchor, one knot at a time.
+      tolerance, within BLOCK_NEWTON_ITERS iterations, the first in closed
+      form. A stride with a knot that fails is tracked again from its
+      anchor, one knot at a time.
 
     The stride cap is STRIDE_CAP knots where the fibers are discrete
     (n <= p, the arm): continuity alone then fixes the lift, whatever route
@@ -385,7 +386,11 @@ class _Tracker:
         The prediction at k, with s = (k - a) / (b - a), is the tangent predictor
         x_a + J_a^+ (gamma_k - gamma_a) plus s^2 times its miss at b, so that it
         would end on x_b; it takes the tangent predictor's one Gauss-Newton step
-        from J_a, with another right-hand side."""
+        from J_a, with another right-hand side. That step and the corrector's
+        first iteration see every unfilled knot, so they solve in closed form
+        (`gauss_newton_step(adjugate=True)`), and the later ones, often on a
+        few knots, by LAPACK: fixed by call, never by block size, so a row's
+        knots do not depend on its batch."""
         hole = np.isnan(self.table[:, :, 0])
         hole[list(self.failed)] = False
         c, k = np.nonzero(hole)
@@ -396,10 +401,10 @@ class _Tracker:
         b = np.minimum.accumulate(np.where(hole, knots[-1], knots)[:, ::-1], axis=1)[c, -1 - k]
         wm, G, T = self.wm, self.gammas, self.table
         xa, ga, s2 = T[c, a], G[c, a], (((k - a) / (b - a)) ** 2)[:, None]
-        dx = gauss_newton_step(wm.jac(xa), G[c, k] - ga - s2 * (G[c, b] - ga))[0]
+        dx = gauss_newton_step(wm.jac(xa), G[c, k] - ga - s2 * (G[c, b] - ga), adjugate=True)[0]
         xk, ok = newton_project(
             wm.f, wm.jac, xa + s2 * (T[c, b] - xa) + dx, G[c, k],
-            tol=LIFT_NEWTON_TOL, max_iter=BLOCK_NEWTON_ITERS,
+            tol=LIFT_NEWTON_TOL, max_iter=BLOCK_NEWTON_ITERS, adjugate_first=True,
         )
         T[c, k] = xk
         if count_nonzero(ok) < ok.size:

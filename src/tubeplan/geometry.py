@@ -11,7 +11,8 @@ leaves carry a leading row axis, and `row(i)` gives row i's own tree.
 
 The package's one Gauss-Newton step lives here too: the numeric lift
 node below and the lifts and fiber samplers above all project onto
-level sets {f(x) = c} with it.
+level sets {f(x) = c} with it, by LAPACK or, on the large blocks of
+the tracker's block correction, in closed form.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ def _lerp(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return (1.0 - ts)[:, None] * a[..., None, :] + ts[:, None] * b[..., None, :]
 
 
-def gauss_newton_step(J: np.ndarray, r: np.ndarray, bound: bool = False) -> tuple:
+def gauss_newton_step(J: np.ndarray, r: np.ndarray, bound: bool = False,
+                      adjugate: bool = False) -> tuple:
     """Batched Gauss-Newton step: dx with J dx = r as nearly as possible.
 
     J has shape (k, p, n) and r shape (k, p). Wide or square rows
@@ -154,6 +156,11 @@ def gauss_newton_step(J: np.ndarray, r: np.ndarray, bound: bool = False) -> tupl
     are NaN. See Allgower & Georg, Introduction to Numerical Continuation
     Methods (SIAM 2003).
 
+    LAPACK solves the normal systems, one call per matrix. With adjugate,
+    a 2 x 2 or 3 x 3 one takes adj(N) b / det N instead, as elementwise
+    products over the block: faster on large blocks, slower on a lone row,
+    and each row's bits are those of its one-row block.
+
     With bound, a third array gives each row's lower bound on
     sigma_min(J)^2 from its m x m normal matrix N: det N / (tr N)^(m-1),
     since each other eigenvalue of N is at most tr N. It reuses the
@@ -162,26 +169,52 @@ def gauss_newton_step(J: np.ndarray, r: np.ndarray, bound: bool = False) -> tupl
     wide = J.shape[-2] <= J.shape[-1]
     Jt = J.transpose(0, 2, 1)
     normal, rhs = (J @ Jt, r) if wide else (Jt @ J, c_einsum("kpn,kp->kn", J, r))
+    m = normal.shape[-1]
+    adjugate = adjugate and 2 <= m <= 3
     # LAPACK through numpy's gufuncs: np.linalg's wrapping costs more than a small
     # block's solve. det flags a non-finite matrix, and J is finite iff sum J^2 is.
     if not np.vdot(J, J) < np.inf:
         normal[~np.isfinite(normal).all(axis=(1, 2))] = 0.0  # singular, so not ok
-    det = _umath_linalg.det(normal, signature="d->d")
+    if adjugate:
+        adj, det = _adjugate(normal.transpose(1, 2, 0))
+    else:
+        det = _umath_linalg.det(normal, signature="d->d")
     ok = np.abs(det) > 1e-300
     degenerate = count_nonzero(ok) < ok.size
     if bound:
-        m = normal.shape[-1]
         tr = c_einsum("kii->k", normal)
         if degenerate:
             tr[tr == 0.0] = np.inf  # N = 0: the bound is 0, not 0/0
         sigma2 = det / tr ** (m - 1)
     if degenerate:
-        normal[~ok] = np.eye(normal.shape[-1])  # a solvable stand-in; its rows turn NaN
-    sol = _umath_linalg.solve1(normal, rhs, signature="dd->d")
+        normal[~ok] = np.eye(m)  # a solvable stand-in; its rows turn NaN
+        if adjugate:  # a zero right-hand side over det 1: nothing overflows or warns
+            det[~ok], rhs = 1.0, np.where(ok[:, None], rhs, 0.0)
+    if adjugate:
+        sol = np.stack([_dot(row, rhs.T) / det for row in adj], axis=1)
+    else:
+        sol = _umath_linalg.solve1(normal, rhs, signature="dd->d")
     dx = c_einsum("kpn,kp->kn", J, sol) if wide else sol
     if degenerate:
         dx[~ok] = np.nan
     return (dx, ok, sigma2) if bound else (dx, ok)
+
+
+def _dot(u, v):
+    """u_0 v_0 + u_1 v_1 + ..., summed from the left."""
+    return functools.reduce(np.add, map(np.multiply, u, v))
+
+
+def _adjugate(N) -> tuple:
+    """The adjugate, as rows of columns, and the determinant of symmetric 2 x 2 or
+    3 x 3 matrices given component-major: N[i, j] holds entry (i, j) of each."""
+    if N.shape[0] == 2:
+        adj = ((N[1, 1], -N[0, 1]), (-N[0, 1], N[0, 0]))
+    else:
+        (a, b, c), (_, d, e), (_, _, f) = N
+        c01, c02, c12 = c * e - b * f, b * e - c * d, b * c - a * e
+        adj = ((d * f - e * e, c01, c02), (c01, a * f - c * c, c12), (c02, c12, a * d - b * b))
+    return adj, _dot(N[0], adj[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,11 +236,13 @@ def newton_project(
     targets: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 50,
+    adjugate_first: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched Gauss-Newton projection onto {f(x) = target}.
 
     f maps a (k, n) block of rows to (k, p) values and jac to (k, p, n)
-    Jacobians. Each iteration takes `gauss_newton_step`. Rows whose
+    Jacobians. Each iteration takes `gauss_newton_step`, the first in
+    closed form with adjugate_first (for large blocks). Rows whose
     normal matrix degenerates or whose iterates blow up are reported as
     not converged; survivors satisfy ||f(x) - target|| <= tol.
     """
@@ -236,7 +271,7 @@ def newton_project(
             x, t, r, live = x[~done], t[~done], r[~done], live[~done]
         if it == max_iter:
             break
-        dx, _ = gauss_newton_step(jac(x), r)
+        dx, _ = gauss_newton_step(jac(x), r, adjugate=adjugate_first and it == 0)
         x -= dx
         # a degenerate normal matrix gives a NaN step, which fails the
         # comparison; that or a blow-up gives up on the row

@@ -2,6 +2,7 @@
 
 They are the plain forms: the Jacobian by central differences, the
 Gauss-Newton step and the Newton projection through `np.linalg`, the
+step's closed-form solve one row at a time in Python floats, the
 tracker's stride cut as a loop over knots, and the arm and Hopf maps
 written one column at a time. The package's versions
 trim numpy's per-call overhead on small blocks and must stay bit for bit
@@ -29,10 +30,20 @@ def jacobian_fd(wm, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def gauss_newton_step(J: np.ndarray, r: np.ndarray, bound: bool = False) -> tuple:
+def _normal_system(J: np.ndarray, r: np.ndarray) -> tuple:
     wide = J.shape[-2] <= J.shape[-1]
     Jt = np.swapaxes(J, 1, 2)
-    normal, rhs = (J @ Jt, r) if wide else (Jt @ J, np.einsum("kpn,kp->kn", J, r))
+    return (J @ Jt, r) if wide else (Jt @ J, np.einsum("kpn,kp->kn", J, r))
+
+
+def gauss_newton_step(
+    J: np.ndarray, r: np.ndarray, bound: bool = False, adjugate: bool = False
+) -> tuple:
+    wide = J.shape[-2] <= J.shape[-1]
+    normal, rhs = _normal_system(J, r)
+    if adjugate and 2 <= normal.shape[-1] <= 3:
+        assert not bound  # the package never asks for both
+        return adjugate_step(J, r)
     det = np.linalg.det(normal)
     tr = np.trace(normal, axis1=1, axis2=2)
     sigma2 = det / np.where(tr == 0.0, np.inf, tr) ** (normal.shape[-1] - 1)
@@ -47,7 +58,50 @@ def gauss_newton_step(J: np.ndarray, r: np.ndarray, bound: bool = False) -> tupl
     return (dx, ok, sigma2) if bound else (dx, ok)
 
 
-def newton_project(f, jac, x0s, targets, tol=1e-12, max_iter=50):
+def adjugate_step(J: np.ndarray, r: np.ndarray) -> tuple:
+    """The closed-form Gauss-Newton step of 2 x 2 and 3 x 3 normal systems N x = b,
+    one row at a time in Python floats: x = adj(N) b / det N. N is read from its
+    upper triangle, each cofactor is the cyclic 2 x 2 minor (3 x 3) or the
+    swapped diagonal (2 x 2), det N is expanded along N's first row, and every
+    sum is taken from the left."""
+    wide = J.shape[-2] <= J.shape[-1]
+    dx = np.full((J.shape[0], J.shape[-1]), np.nan)
+    ok = np.zeros(J.shape[0], dtype=bool)
+    for row in range(J.shape[0]):
+        normal, rhs = _normal_system(J[row : row + 1], r[row : row + 1])
+        if not np.isfinite(normal).all():
+            continue
+        m, b = normal.shape[-1], rhs[0].tolist()
+        n = [[float(normal[0, min(i, j), max(i, j)]) for j in range(m)] for i in range(m)]
+        if m == 2:
+            cof = [[n[1][1], -n[0][1]], [-n[1][0], n[0][0]]]
+        else:
+            cof = [
+                [
+                    n[(i + 1) % 3][(j + 1) % 3] * n[(i + 2) % 3][(j + 2) % 3]
+                    - n[(i + 1) % 3][(j + 2) % 3] * n[(i + 2) % 3][(j + 1) % 3]
+                    for j in range(3)
+                ]
+                for i in range(3)
+            ]
+        det = n[0][0] * cof[0][0]
+        for j in range(1, m):
+            det += n[0][j] * cof[0][j]
+        if not abs(det) > 1e-300:
+            continue
+        sol = []
+        for i in range(m):  # row i of adj(N) is column i of the cofactors
+            acc = cof[0][i] * b[0]
+            for j in range(1, m):
+                acc += cof[j][i] * b[j]
+            sol.append(acc / det)
+        sol = np.array([sol])
+        dx[row] = np.einsum("kpn,kp->kn", J[row : row + 1], sol)[0] if wide else sol[0]
+        ok[row] = True
+    return dx, ok
+
+
+def newton_project(f, jac, x0s, targets, tol=1e-12, max_iter=50, adjugate_first=False):
     xs = np.array(x0s, dtype=float)
     ok = np.zeros(xs.shape[0], dtype=bool)
     x, t, live = xs, np.asarray(targets, dtype=float), None
@@ -67,7 +121,7 @@ def newton_project(f, jac, x0s, targets, tol=1e-12, max_iter=50):
             x, t, r, live = x[~done], t[~done], r[~done], live[~done]
         if it == max_iter:
             break
-        dx, _ = gauss_newton_step(jac(x), r)
+        dx, _ = gauss_newton_step(jac(x), r, adjugate=adjugate_first and it == 0)
         x -= dx
         wild = ~np.isfinite(x).all(axis=1) | (np.linalg.norm(dx, axis=1) > NEWTON_BLOWUP)
         if np.count_nonzero(wild):

@@ -186,6 +186,40 @@ def test_gauss_newton_bound_lies_below_sigma_min(shape):
     assert np.array_equal(sigma2, ref.gauss_newton_step(J.copy(), r, bound=True)[2])
 
 
+_SHIPPED_JACOBIANS = {
+    "arm": rr_arm_workmap,
+    "hopf": hopf_germ,
+    "tube": lambda: tube_fibration(brieskorn_germ(2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_JACOBIANS))
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+def test_adjugate_step_agrees_with_lapack(name, scale):
+    # the closed form fill's large blocks take: the arm's 3 x 2, Hopf's 3 x 4 and
+    # a tube germ's 2 x 4 Jacobians at sampled configurations, then degenerate rows
+    wm = _SHIPPED_JACOBIANS[name]()
+    rng = np.random.default_rng(23)
+    J = wm.jac(wm.sample(rng, 300)) * scale
+    r = rng.standard_normal((300, wm.p))
+    J[:3] = np.array([0.0, np.nan, np.inf])[:, None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dx, ok = geometry.gauss_newton_step(J.copy(), r, adjugate=True)
+        rows = [geometry.gauss_newton_step(J[i : i + 1].copy(), r[i : i + 1], adjugate=True)
+                for i in range(300)]
+    lapack, lapack_ok = geometry.gauss_newton_step(J[3:].copy(), r[3:])
+    assert ok.tolist() == [False] * 3 + lapack_ok.tolist() and lapack_ok.all()
+    assert np.isnan(dx[:3]).all()
+    gap = np.linalg.norm(dx[3:] - lapack, axis=1) / np.linalg.norm(lapack, axis=1)
+    assert gap.max() <= 1e-13
+    # a row's bits do not depend on its block, so plan_batch rows equal plan
+    assert np.array_equal(dx, np.concatenate([d for d, _ in rows]), equal_nan=True)
+    assert np.array_equal(ok, np.concatenate([o for _, o in rows]))
+    ref_dx, ref_ok = ref.adjugate_step(J.copy(), r)
+    assert np.array_equal(dx, ref_dx, equal_nan=True) and np.array_equal(ok, ref_ok)
+
+
 # --- bit-identity of the numeric core against its plain reference ---------------
 
 _REF_MAPS = {"rr_arm": (ref.rr_f, ref.rr_jac), "hopf": (ref.hopf_f, milnor._hopf_jac)}
@@ -217,15 +251,29 @@ def _track_tables(reference_maps=False):
     return tables
 
 
-@pytest.mark.parametrize("layer", ["gauss_newton_step", "newton_project", "maps"])
+def _reference_adjugate(fast):
+    """The package's step with its closed-form solve swapped for the plain one."""
+
+    def step(J, r, bound=False, adjugate=False):
+        return ref.adjugate_step(J, r) if adjugate else fast(J, r, bound)
+
+    return step
+
+
+@pytest.mark.parametrize(
+    "layer", ["gauss_newton_step", "adjugate_step", "newton_project", "maps"]
+)
 def test_tracking_is_bit_identical_to_the_reference(layer, monkeypatch):
     """The tracked knot tables do not change when a layer of the numeric core
     is swapped for its plain reference (the reference loop takes the
-    reference step)."""
+    reference step, and the reference step the reference closed form)."""
     fast = _track_tables()
+    name, plain = layer, getattr(ref, layer, None)
+    if layer == "adjugate_step":  # the closed form alone, in the package's step
+        name, plain = "gauss_newton_step", _reference_adjugate(geometry.gauss_newton_step)
     if layer != "maps":
         for mod in (geometry, fibration):
-            monkeypatch.setattr(mod, layer, getattr(ref, layer))
+            monkeypatch.setattr(mod, name, plain)
     slow = _track_tables(reference_maps=layer == "maps")
     assert len(fast) == len(slow) == 120
     assert sum(isinstance(a, np.ndarray) for a in fast) >= 110
