@@ -387,10 +387,10 @@ class _Tracker:
         x_a + J_a^+ (gamma_k - gamma_a) plus s^2 times its miss at b, so that it
         would end on x_b; it takes the tangent predictor's one Gauss-Newton step
         from J_a, with another right-hand side. That step and the corrector's
-        first iteration see every unfilled knot, so they solve in closed form
-        (`gauss_newton_step(adjugate=True)`), and the later ones, often on a
-        few knots, by LAPACK: fixed by call, never by block size, so a row's
-        knots do not depend on its batch."""
+        first iteration see every unfilled knot and solve in closed form
+        (`gauss_newton_step(adjugate=True)`); later iterations take LAPACK.
+        The method is fixed by call and iteration, never by block size, so a
+        row's knots do not depend on its batch."""
         hole = np.isnan(self.table[:, :, 0])
         hole[list(self.failed)] = False
         c, k = np.nonzero(hole)

@@ -492,6 +492,10 @@ def test_plan_batch_equals_plan_per_query(name):
     assert failed == ([2] if name == "arm" else [])
     if name == "arm":
         assert results[2].t_star == 1.0
+    # chain's steps see all 70 rows here and one row alone: a step that chose
+    # its solve by block size, not by call, would split these rows from plan
+    starts, goals = planner.sample_queries(np.random.default_rng(17), 70)
+    _assert_same_as_solo(planner, starts, goals, planner.plan_batch(starts, goals))
 
 
 @pytest.mark.parametrize("d", [1e-2, 3e-3, 1e-3, 3e-4])
