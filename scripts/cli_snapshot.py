@@ -39,6 +39,8 @@ from tubeplan import cli, load_germ, tube_fibration  # noqa: E402
 
 B23 = "germs/brieskorn_2_3.json"
 CUBE = "germs/cube.json"
+SUBCOMMANDS = ("plan-sphere", "plan-tube", "plan-arm", "verify", "fiber", "monodromy",
+               "certify", "link")
 
 
 def _tube_start() -> str:
@@ -121,6 +123,12 @@ def commands() -> list[tuple[str, list[str]]]:
         ("plan-arm-near-pole", ["plan-arm", "--start", "2.885024882791609,0.12717603675929734",
                                 "--goal",
                                 "0.7420295021146448,0.0913614848024416,0.6641124129890854"]),
+        # the parser's help and usage-error bytes
+        ("help", ["--help"]),
+        *((f"help-{name}", [name, "--help"]) for name in SUBCOMMANDS),
+        ("no-subcommand", []),
+        ("unknown-subcommand", ["bogus"]),
+        ("verify-bogus-flag", ["verify", "--bogus"]),
     ]
 
 
@@ -140,6 +148,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 def snapshot(outdir: pathlib.Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(ROOT)  # germ paths, and the error messages naming them, are relative
+    os.environ["COLUMNS"] = "80"  # argparse wraps help at the terminal's width
     for n, (name, argv) in enumerate(commands(), 1):
         code, out, err = run(argv)
         stem = outdir / f"{n:02d}-{name}"

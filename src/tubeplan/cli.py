@@ -294,7 +294,9 @@ def finite_float(text: str) -> float:
     return x
 
 
-def _add_common(sp, *, seed: bool = False, margin: bool = False, path: bool = False) -> None:
+def _add_common(sp, func, *, seed: bool = False, margin: bool = False, path: bool = False):
+    """The options several subcommands share, and func to run the subcommand."""
+    sp.set_defaults(func=func)
     if seed:
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     if margin:
@@ -305,34 +307,27 @@ def _add_common(sp, *, seed: bool = False, margin: bool = False, path: bool = Fa
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tubeplan",
-        description="plan motions on spheres and through tube fibrations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("plan-sphere", help="plan between two points on S^m")
+def _add_plan_sphere(sp) -> None:
     sp.add_argument("--dim", type=positive_int, required=True, help="sphere dimension m")
     sp.add_argument("--start", required=True, help="comma-separated unit vector")
     sp.add_argument("--goal", required=True, help="comma-separated unit vector")
-    _add_common(sp, margin=True, path=True)
-    sp.set_defaults(func=cmd_plan_sphere)
+    _add_common(sp, cmd_plan_sphere, margin=True, path=True)
 
-    sp = sub.add_parser("plan-tube", help="plan from a tube point to a value angle")
+
+def _add_plan_tube(sp) -> None:
     sp.add_argument("--germ", required=True, help="germ JSON file")
     sp.add_argument("--start", required=True, help="comma-separated tube configuration")
     sp.add_argument("--angle", type=finite_float, required=True, help="goal value angle (radians)")
-    _add_common(sp, margin=True, path=True)
-    sp.set_defaults(func=cmd_plan_tube)
+    _add_common(sp, cmd_plan_tube, margin=True, path=True)
 
-    sp = sub.add_parser("plan-arm", help="plan the two-joint arm to a direction goal")
+
+def _add_plan_arm(sp) -> None:
     sp.add_argument("--start", required=True, help="joint angles 'alpha,beta'")
     sp.add_argument("--goal", required=True, help="unit direction 'x,y,z'")
-    _add_common(sp, margin=True, path=True)
-    sp.set_defaults(func=cmd_plan_arm)
+    _add_common(sp, cmd_plan_arm, margin=True, path=True)
 
-    sp = sub.add_parser("verify", help="run the randomized contract suite")
+
+def _add_verify(sp) -> None:
     sp.add_argument("--sphere", type=positive_int, default=None, help="sphere dimension m")
     sp.add_argument("--germ", default=None, help="germ JSON file")
     sp.add_argument("--hopf", action="store_true", help="check the quadratic sphere map")
@@ -342,24 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--deep", type=sample_count, default=None,
                     help="dense-check only this many queries")
     sp.add_argument("--probe-region", type=int, default=None, help="attach a continuity probe")
-    _add_common(sp, seed=True, margin=True)
-    sp.set_defaults(func=cmd_verify)
+    _add_common(sp, cmd_verify, seed=True, margin=True)
 
-    sp = sub.add_parser("fiber", help="sample one fiber and count components")
+
+def _add_fiber(sp, func=cmd_fiber) -> None:
     sp.add_argument("--germ", required=True)
     sp.add_argument("--angle", type=finite_float, default=0.0)
     sp.add_argument("--seeds", type=seed_count, default=1500)
-    _add_common(sp, seed=True)
-    sp.set_defaults(func=cmd_fiber)
+    _add_common(sp, func, seed=True)
 
-    sp = sub.add_parser("monodromy", help="full-circle component permutation")
-    sp.add_argument("--germ", required=True)
-    sp.add_argument("--angle", type=finite_float, default=0.0)
-    sp.add_argument("--seeds", type=seed_count, default=1500)
-    _add_common(sp, seed=True)
-    sp.set_defaults(func=cmd_monodromy)
 
-    sp = sub.add_parser("certify", help="complexity certificate for a work map")
+def _add_certify(sp) -> None:
     sp.add_argument("--germ", default=None)
     sp.add_argument("--hopf", action="store_true")
     sp.add_argument("--quantity", choices=("tc", "sec"), default="tc")
@@ -367,20 +355,48 @@ def build_parser() -> argparse.ArgumentParser:
     # marks a flag left unset, so that the other modes can reject it
     sp.add_argument("--seeds", type=seed_count, default=None, help="fiber seeds (default 1500)")
     sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_certify)
+    _add_common(sp, cmd_certify)
 
-    sp = sub.add_parser("link", help="sample the zero set on the epsilon sphere")
+
+def _add_link(sp) -> None:
     sp.add_argument("--germ", required=True)
     sp.add_argument("--seeds", type=seed_count, default=1000)
-    _add_common(sp, seed=True)
-    sp.set_defaults(func=cmd_link)
+    _add_common(sp, cmd_link, seed=True)
 
+
+# (name, help, argument adder) of every subcommand, in the order help lists them
+COMMANDS = (
+    ("plan-sphere", "plan between two points on S^m", _add_plan_sphere),
+    ("plan-tube", "plan from a tube point to a value angle", _add_plan_tube),
+    ("plan-arm", "plan the two-joint arm to a direction goal", _add_plan_arm),
+    ("verify", "run the randomized contract suite", _add_verify),
+    ("fiber", "sample one fiber and count components", _add_fiber),
+    ("monodromy", "full-circle component permutation", lambda sp: _add_fiber(sp, cmd_monodromy)),
+    ("certify", "complexity certificate for a work map", _add_certify),
+    ("link", "sample the zero set on the epsilon sphere", _add_link),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the CLI. Every subcommand is registered with its help, but
+    only the one named `command` gets its arguments; all do when it names none.
+    The parser reads such a command line as the full parser does, byte for byte."""
+    parser = argparse.ArgumentParser(
+        prog="tubeplan",
+        description="plan motions on spheres and through tube fibrations",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in (name for name, _, _ in COMMANDS)
+    for name, text, add in COMMANDS:
+        sp = sub.add_parser(name, help=text)
+        if every or name == command:
+            add(sp)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)

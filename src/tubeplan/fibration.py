@@ -32,6 +32,7 @@ from .geometry import (
     newton_project,
     normalize,
     perturb_on_sphere,
+    point_norms,
     row_norms,
 )
 from .sphere_planner import DEFAULT_MARGIN, QUERY_NORM_TOL, Planned, SpherePlanner, build_planner
@@ -531,13 +532,15 @@ class TaskingPlanner:
         its distance from the task sphere."""
         vals = self.workmap.f(pts)
         gamma = Scaled(self.regions[idx - 1].build(t1s, t2s, self.delta), self.eta)
-        projs = np.linalg.norm(vals - gamma.sample(ts), axis=-1).max(axis=1)
-        devs = np.abs(np.linalg.norm(vals, axis=-1) - self.eta).max(axis=1)
+        projs = point_norms(vals - gamma.sample(ts)).max(axis=1)
+        devs = np.abs(point_norms(vals) - self.eta).max(axis=1)
         measured = {"max_projection_residual": projs, "max_surface_deviation": devs}
         return "projection", "residual", projs, measured
 
-    def perturb(self, rng: np.random.Generator, t1: np.ndarray, t2: np.ndarray, scale: float):
-        return t1, perturb_on_sphere(rng, t2, scale)  # the start stays pinned to its fiber
+    def perturb(self, rngs: list, t1s: np.ndarray, t2s: np.ndarray, scales) -> list:
+        """See SpherePlanner; only the goals move, since a start is pinned to its fiber."""
+        xi = np.array([rng.standard_normal(t2s.shape[1]) for rng in rngs])
+        return [(t1s, perturb_on_sphere(xi, t2s, s)) for s in scales]
 
     def region_paths(self, idx: int, starts, t1s: np.ndarray, t2s: np.ndarray) -> list:
         """The base region's paths lifted from starts; the first refused row raises."""

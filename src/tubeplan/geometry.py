@@ -62,11 +62,18 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def perturb_on_sphere(rng: np.random.Generator, t: np.ndarray, scale: float) -> np.ndarray:
-    """The unit point t moved by scale along a random tangent direction."""
-    xi = rng.standard_normal(t.shape[0])
-    xi -= (xi @ t) * t
-    xi = scale * xi / np.linalg.norm(xi)
+def point_norms(x: np.ndarray) -> np.ndarray:
+    """||x|| over the last axis, bit for bit np.linalg.norm(x, axis=-1): the squares
+    summed from the left, one component at a time, which beats numpy's reduction
+    over a short axis."""
+    return np.sqrt(_dot(x.T, x.T)).T  # x.T[i] holds component i of every point
+
+
+def perturb_on_sphere(xi: np.ndarray, t: np.ndarray, scale: float) -> np.ndarray:
+    """The unit points t, the rows of a (k, d) block, each moved by scale along the
+    tangent part of its row of the noise xi."""
+    xi = xi - np.vecdot(xi, t)[:, None] * t
+    xi = scale * xi / row_norms(xi)[:, None]
     return normalize(t + xi)
 
 
@@ -88,7 +95,7 @@ def stereo_inv(y: np.ndarray) -> np.ndarray:
     (2y, ||y||^2 - 1) / (||y||^2 + 1). Never returns the pole itself.
     """
     y = np.asarray(y, dtype=float)
-    s = np.sum(y * y, axis=-1)
+    s = _dot(y.T, y.T).T  # bit for bit np.sum(y * y, axis=-1)
     out = np.empty(y.shape[:-1] + (y.shape[-1] + 1,), dtype=float)
     out[..., :-1] = 2.0 * y / (s[..., None] + 1.0)
     out[..., -1] = (s - 1.0) / (s + 1.0)
@@ -172,8 +179,9 @@ def gauss_newton_step(J: np.ndarray, r: np.ndarray, bound: bool = False,
     m = normal.shape[-1]
     adjugate = adjugate and 2 <= m <= 3
     # LAPACK through numpy's gufuncs: np.linalg's wrapping costs more than a small
-    # block's solve. det flags a non-finite matrix, and J is finite iff sum J^2 is.
-    if not np.vdot(J, J) < np.inf:
+    # block's solve. det flags a non-finite matrix, and J is finite iff sum J^2 is
+    # (by einsum: np.vdot's BLAS call runs threaded on large blocks, and slower).
+    if not c_einsum("i,i->", flat := J.ravel(), flat) < np.inf:
         normal[~np.isfinite(normal).all(axis=(1, 2))] = 0.0  # singular, so not ok
     if adjugate:
         adj, det = _adjugate(normal.transpose(1, 2, 0))
@@ -362,7 +370,7 @@ class NormalizedSegment(PathExpr):
 
     def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
         pts = _lerp(self.a, self.b, ts)
-        return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+        return pts / point_norms(pts)[..., None]
 
     def to_dict(self) -> dict:
         return {"kind": "normalized_segment", "a": self.a.tolist(), "b": self.b.tolist()}

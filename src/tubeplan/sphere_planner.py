@@ -28,6 +28,7 @@ from .geometry import (
     StereoSegment,
     normalize,
     perturb_on_sphere,
+    point_norms,
     row_norms,
     tangent_even,
     tangent_odd,
@@ -258,12 +259,15 @@ class SpherePlanner:
     def deep_check(self, idx: int, t1s, t2s, pts: np.ndarray, ts: np.ndarray) -> tuple:
         """(failure kind, detail word, per-row values checked against end_tol, report
         maxima) of the block rows whose paths pts samples at ts."""
-        devs = np.abs(np.linalg.norm(pts, axis=-1) - 1.0).max(axis=1)
+        devs = np.abs(point_norms(pts) - 1.0).max(axis=1)
         return "off-sphere", "deviation", devs, {"max_surface_deviation": devs}
 
-    def perturb(self, rng: np.random.Generator, t1: np.ndarray, t2: np.ndarray, scale: float):
-        t1 = perturb_on_sphere(rng, t1, scale)
-        return t1, perturb_on_sphere(rng, t2, scale)
+    def perturb(self, rngs: list, t1s: np.ndarray, t2s: np.ndarray, scales) -> list:
+        """The pairs (t1s, t2s), both ends moved, at each scale: pair i's noise, for
+        t1 and then for t2, is drawn once from rngs[i]."""
+        xi = np.array([rng.standard_normal((2, t1s.shape[1])) for rng in rngs])
+        return [(perturb_on_sphere(xi[:, 0], t1s, s), perturb_on_sphere(xi[:, 1], t2s, s))
+                for s in scales]
 
     def region_paths(self, idx: int, starts, t1s: np.ndarray, t2s: np.ndarray) -> list:
         """Region idx's (region index, rows, path) blocks for a block of pairs, no dispatch."""

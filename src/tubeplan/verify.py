@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import Uncovered, WrongCodomain
 from .fibration import WorkMap
-from .geometry import row_norms
+from .geometry import point_norms, row_norms
 from .milnor import Germ, tube_fibration
 
 # --- certificates -----------------------------------------------------------
@@ -344,19 +344,17 @@ def continuity_probe(
         pairs.append((th1, th2))
         subs.append(rng.integers(1 << 31))
 
-    def paths(pairs: list) -> list:
-        th1s, th2s = (np.array(side) for side in zip(*pairs))
-        return planner.region_paths(region_index, np.array(starts), th1s, th2s)
-
-    ref = paths(pairs)  # the unperturbed paths are the same at every scale
+    starts = np.array(starts)
+    th1s, th2s = (np.array(side) for side in zip(*pairs))
+    ref = planner.region_paths(region_index, starts, th1s, th2s)  # the same at every scale
+    rngs = [np.random.default_rng(sub) for sub in subs]
     out = []
-    for scale in PROBE_SCALES:
-        moved = [planner.perturb(np.random.default_rng(sub), *pair, scale)
-                 for pair, sub in zip(pairs, subs)]
+    for scale, moved in zip(PROBE_SCALES, planner.perturb(rngs, th1s, th2s, PROBE_SCALES)):
         devs = np.empty(n_pairs)
-        slices = zip(_dense(ref, ts, n_pairs), _dense(paths(moved), ts, n_pairs))
-        for (_, rows, near), (_, _, pts) in slices:
-            devs[rows] = np.linalg.norm(near - pts, axis=-1).max(axis=1)
+        near_paths = planner.region_paths(region_index, starts, *moved)
+        for (_, rows, near), (_, _, pts) in zip(_dense(ref, ts, n_pairs),
+                                                _dense(near_paths, ts, n_pairs)):
+            devs[rows] = point_norms(near - pts).max(axis=1)
         worst = float(devs.max())
         out.append({"scale": scale, "pairs": n_pairs, "max_deviation": worst,
                     "mean_deviation": float(devs.mean()), "lipschitz_ratio": worst / scale})

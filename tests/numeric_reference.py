@@ -3,8 +3,9 @@
 They are the plain forms: the Jacobian by central differences, the
 Gauss-Newton step and the Newton projection through `np.linalg`, the
 step's closed-form solve one row at a time in Python floats, the
-tracker's stride cut as a loop over knots, and the arm and Hopf maps
-written one column at a time. The package's versions
+tracker's stride cut as a loop over knots, the arm and Hopf maps
+written one column at a time, the stereographic inverse chart through
+np.sum, and the probe's perturbation one point at a time. The package's versions
 trim numpy's per-call overhead on small blocks and must stay bit for bit
 equal to these. `arm_lift_reference` and `hopf_lift_reference` are of
 another kind: the arm's lift in closed form and the Hopf bundle's
@@ -28,6 +29,23 @@ def jacobian_fd(wm, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         xm[j] -= step
         cols.append((wm.f(xp) - wm.f(xm)) / (2.0 * step))
     return np.stack(cols, axis=-1)
+
+
+def stereo_inv(y: np.ndarray) -> np.ndarray:
+    """(2y, ||y||^2 - 1) / (||y||^2 + 1) over the last axis, ||y||^2 by np.sum."""
+    s = np.sum(y * y, axis=-1)
+    return np.concatenate([2.0 * y / (s[..., None] + 1.0), ((s - 1.0) / (s + 1.0))[..., None]],
+                          axis=-1)
+
+
+def perturb_on_sphere(rng: np.random.Generator, t: np.ndarray, scale: float) -> np.ndarray:
+    """The unit point t moved by scale along a random tangent direction: noise
+    drawn from rng, its tangent part, scaled to length scale, added and normalized."""
+    xi = rng.standard_normal(t.shape[0])
+    xi -= (xi @ t) * t
+    xi = scale * xi / np.linalg.norm(xi)
+    v = t + xi
+    return v / np.linalg.norm(v, axis=-1)  # as geometry.normalize forms it
 
 
 def _normal_system(J: np.ndarray, r: np.ndarray) -> tuple:

@@ -1,18 +1,23 @@
-"""Row-by-row reference of the contract suite's checks.
+"""Row-by-row reference of the contract suite's checks and of the continuity probe.
 
 `run_contract_suite` checks a block of queries at a time: one base-pair
 call, one endpoint sample per path and one work-map call per block. This
 is the plain form it must equal: every query is checked on its own, with
 the 1-D `np.linalg.norm`, `path.at(0)` and `path.at(1)`, and failures are
 listed in the order the rows are checked.
+
+`continuity_probe` perturbs all its pairs in one `perturb` call per planner.
+Its plain form perturbs one pair at a time at each scale, from a fresh
+Generator of the pair's seed, with `numeric_reference.perturb_on_sphere`.
 """
 
 import numpy as np
 
+import numeric_reference
 from tubeplan.errors import LiftFailure, Uncovered
 from tubeplan.geometry import NORM_TOL, Scaled, normalize
 from tubeplan.sphere_planner import SpherePlanner
-from tubeplan.verify import SUITE_BLOCK, VerificationReport
+from tubeplan.verify import PROBE_KNOTS, PROBE_SCALES, SUITE_BLOCK, VerificationReport
 
 
 def _pair(planner, a, b):
@@ -96,3 +101,44 @@ def run_contract_suite(planner, n_queries, seed=0, knots=256, deep=None, queries
         if not is_sphere:
             report.max_projection_residual = max_proj
     return report.to_dict()
+
+
+def perturb(planner, rng, t1, t2, scale):
+    """One pair moved at one scale: a sphere moves both ends, t1 first, and a
+    pullback only the goal, since its start is pinned to a fiber."""
+    if isinstance(planner, SpherePlanner):
+        t1 = numeric_reference.perturb_on_sphere(rng, t1, scale)
+    return t1, numeric_reference.perturb_on_sphere(rng, t2, scale)
+
+
+def continuity_probe(planner, region_index, n_pairs=64, seed=0) -> list[dict]:
+    """The rows `verify.continuity_probe` returns with the same arguments."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, PROBE_KNOTS)
+    region = planner.regions[region_index - 1]
+    need = 1.5 * planner.delta + 4.0 * PROBE_SCALES[0]
+    starts, pairs, subs = [], [], []
+    while len(pairs) < n_pairs:  # one query at a time, as the probe draws them
+        (e,), (th1,), (th2,) = planner.sample_pairs(rng, 1)
+        if region.margin(th1, th2) >= need:
+            starts.append(e)
+            pairs.append((th1, th2))
+            subs.append(rng.integers(1 << 31))
+
+    def sampled(pairs):
+        th1s, th2s = (np.array(side) for side in zip(*pairs))
+        pts = {}
+        for _, rows, path in planner.region_paths(region_index, np.array(starts), th1s, th2s):
+            pts.update(zip(rows.tolist(), path.sample(ts).reshape(rows.size, len(ts), -1)))
+        return [pts[i] for i in range(n_pairs)]
+
+    ref = sampled(pairs)
+    out = []
+    for scale in PROBE_SCALES:
+        moved = [perturb(planner, np.random.default_rng(sub), *pair, scale)
+                 for pair, sub in zip(pairs, subs)]
+        devs = np.array([np.linalg.norm(a - b, axis=-1).max() for a, b in zip(ref, sampled(moved))])
+        worst = float(devs.max())
+        out.append({"scale": scale, "pairs": n_pairs, "max_deviation": worst,
+                    "mean_deviation": float(devs.mean()), "lipschitz_ratio": worst / scale})
+    return out

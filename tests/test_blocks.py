@@ -6,10 +6,19 @@ import pathlib
 import numpy as np
 import pytest
 
+import numeric_reference
 import suite_reference
 from tubeplan.errors import Uncovered
 from tubeplan.fibration import TaskingPlanner, pullback_planner
-from tubeplan.geometry import Scaled, path_to_json, row_norms
+from tubeplan.geometry import (
+    Scaled,
+    _lerp,
+    path_to_json,
+    point_norms,
+    row_norms,
+    stereo_inv,
+    stereo_proj,
+)
 from tubeplan.milnor import load_germ, tube_fibration
 from tubeplan.sphere_planner import Planned, SpherePlanner, build_planner
 from tubeplan.verify import run_contract_suite
@@ -40,6 +49,36 @@ def test_row_norms_equal_the_one_row_norm(d):
     x = rng.standard_normal((10_000, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (10_000, 1))
     want = np.array([np.linalg.norm(row) for row in x])
     assert np.array_equal(row_norms(x), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_point_norms_equal_the_last_axis_norm(d):
+    rng = np.random.default_rng(10 + d)
+    x = rng.standard_normal((40, 50, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 50, 1))
+    blocks = [
+        x[0, 0],  # 1-D
+        x[0],  # (k, d)
+        x,  # (k, T, d)
+        x[::3, 1::2],  # strided
+        np.asfortranarray(x),
+        x.transpose(1, 0, 2),  # the rows of another axis order
+        np.moveaxis(x.reshape(2000, d).T.copy(), 0, -1),  # the components far apart
+    ]
+    for block in blocks:
+        want = np.linalg.norm(block, axis=-1)
+        got = point_norms(block)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_stereo_inv_equals_the_sum_form_on_chart_blocks(m):
+    rng = np.random.default_rng(m)
+    a, b = (v / np.linalg.norm(v, axis=1, keepdims=True)
+            for v in rng.standard_normal((2, 300, m + 1)))
+    ya, yb = stereo_proj(a), stereo_proj(b)
+    for y in (ya, ya[7], _lerp(ya, yb, TS), 1e3 * ya):
+        assert np.array_equal(stereo_inv(y), numeric_reference.stereo_inv(y))
 
 
 @pytest.mark.parametrize("name", PLANNERS)

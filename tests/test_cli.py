@@ -32,6 +32,23 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _help(parser, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as ex:
+        parser.parse_args(argv)
+    assert ex.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in cli.COMMANDS])
+def test_one_subcommand_parser_prints_the_full_parser_help(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli.build_parser()
+    want = _help(full, [name, "--help"], capsys)
+    assert f"usage: tubeplan {name} [-h]" in want
+    assert _help(cli.build_parser(name), [name, "--help"], capsys) == want
+    assert _help(cli.build_parser(name), ["--help"], capsys) == _help(full, ["--help"], capsys)
+
+
 def test_plan_sphere_quarter_arc(capsys):
     code, out, _ = run_cli(
         capsys, "plan-sphere", "--dim", "1", "--start", "1,0", "--goal", "0,1", "--samples", "3"

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import suite_reference
 from tubeplan.errors import WrongCodomain
 from tubeplan.fibration import NumericOracle, pullback_planner, rr_arm_workmap
 from tubeplan.milnor import brieskorn_germ, hopf_germ, power_germ, tube_fibration
 from tubeplan.sphere_planner import build_planner
 from tubeplan.verify import (
+    PROBE_SCALES,
     Certificate,
     CertifyInputs,
     certify_sec,
@@ -207,6 +209,44 @@ def test_probe_rejects_a_region_the_planner_lacks(m, region):
         continuity_probe(build_planner(m), region, n_pairs=4)
     with pytest.raises(ValueError, match=r"outside 1\.\.\d"):
         continuity_probe(pullback_planner(tube_fibration(power_germ(2))), region, n_pairs=4)
+
+
+PROBE_PLANNERS = {
+    **{f"S{m}": (lambda m=m: build_planner(m)) for m in (1, 2, 3, 4)},
+    "brieskorn_2_3": lambda: pullback_planner(tube_fibration(brieskorn_germ(2, 3))),
+    "arm": lambda: pullback_planner(rr_arm_workmap()),
+    "hopf": lambda: pullback_planner(hopf_germ()),
+}
+
+
+@pytest.mark.parametrize("name", ["S2", "S3", "brieskorn_2_3", "arm"])
+def test_block_perturb_equals_the_one_pair_reference(name):
+    planner = PROBE_PLANNERS[name]()
+    rng = np.random.default_rng(9)
+    _, t1s, t2s = planner.sample_pairs(rng, 20)
+    subs = rng.integers(1 << 31, size=20)
+    moved = planner.perturb([np.random.default_rng(s) for s in subs], t1s, t2s, PROBE_SCALES)
+    assert len(moved) == len(PROBE_SCALES)
+    for scale, (m1, m2) in zip(PROBE_SCALES, moved):
+        for i, sub in enumerate(subs):
+            want = suite_reference.perturb(planner, np.random.default_rng(sub), t1s[i], t2s[i],
+                                           scale)
+            assert np.array_equal(m1[i], want[0]) and np.array_equal(m2[i], want[1])
+
+
+@pytest.mark.parametrize(
+    "name, region",
+    # every region: two on odd spheres (and the plane germ's), three on even ones
+    [(f"S{m}", r) for m in (1, 2, 3, 4) for r in range(1, 4 - m % 2)]
+    + [("brieskorn_2_3", r) for r in (1, 2)] + [(name, r) for name in ("arm", "hopf")
+                                                for r in (1, 2, 3)],
+)
+def test_probe_equals_the_one_pair_reference(name, region):
+    planner = PROBE_PLANNERS[name]()
+    n_pairs = 64 if name.startswith("S") else 32
+    seed = region + 3
+    want = suite_reference.continuity_probe(planner, region, n_pairs=n_pairs, seed=seed)
+    assert continuity_probe(planner, region, n_pairs=n_pairs, seed=seed) == want
 
 
 def test_probe_is_monotone_helper():
