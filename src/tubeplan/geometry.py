@@ -21,6 +21,7 @@ import csv
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -63,9 +64,8 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def point_norms(x: np.ndarray) -> np.ndarray:
-    """||x|| over the last axis, bit for bit np.linalg.norm(x, axis=-1): the squares
-    summed from the left, one component at a time, which beats numpy's reduction
-    over a short axis."""
+    """||x|| over the last axis, bit for bit np.linalg.norm(x, axis=-1): the squares summed
+    from the left one component at a time, faster than numpy's reduction on a short axis."""
     return np.sqrt(_dot(x.T, x.T)).T  # x.T[i] holds component i of every point
 
 
@@ -209,8 +209,8 @@ def gauss_newton_step(J: np.ndarray, r: np.ndarray, bound: bool = False,
 
 
 def _dot(u, v):
-    """u_0 v_0 + u_1 v_1 + ..., summed from the left."""
-    return functools.reduce(np.add, map(np.multiply, u, v))
+    """u_0 v_0 + u_1 v_1 + ..., summed from the left; operator is fast on numpy scalars."""
+    return functools.reduce(operator.add, map(operator.mul, u, v))
 
 
 def _adjugate(N) -> tuple:
