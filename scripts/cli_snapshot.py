@@ -39,6 +39,7 @@ from tubeplan import cli, load_germ, tube_fibration  # noqa: E402
 
 B23 = "germs/brieskorn_2_3.json"
 CUBE = "germs/cube.json"
+# spelled out, not read from cli: --against runs this list on older checkouts too
 SUBCOMMANDS = ("plan-sphere", "plan-tube", "plan-arm", "verify", "fiber", "monodromy",
                "certify", "link")
 
