@@ -57,6 +57,13 @@ def _opposite_angle() -> str:
     return repr(float(np.arctan2(v[1], v[0]) + np.pi))
 
 
+def _unit(n: int, seed: int) -> str:
+    """A unit vector in R^n with no zero coordinate, as a flag value; with zeros,
+    a sum of squares would have too few terms to tell one order from another."""
+    v = np.random.default_rng(seed).standard_normal(n)
+    return ",".join(repr(float(x)) for x in v / np.linalg.norm(v))
+
+
 def commands() -> list[tuple[str, list[str]]]:
     arm_goal = ["--start", "0.3,0.4", "--goal", "0.6,0.0,0.8"]
     return [
@@ -130,6 +137,13 @@ def commands() -> list[tuple[str, list[str]]]:
         ("no-subcommand", []),
         ("unknown-subcommand", ["bogus"]),
         ("verify-bogus-flag", ["verify", "--bogus"]),
+        # 8 or more components, which numpy sums pairwise: a segment in R^8, a chart
+        # segment whose chart is R^8, and the suite on S^8
+        ("plan-sphere-s7-segment", ["plan-sphere", "--dim", "7", f"--start={_unit(8, 1)}",
+                                    f"--goal={_unit(8, 2)}"]),
+        ("plan-sphere-s8-chart", ["plan-sphere", "--dim", "8", f"--start={_unit(9, 1)}",
+                                  f"--goal={_unit(9, 2)}"]),
+        ("verify-sphere-8", ["verify", "--sphere", "8", "--queries", "200"]),
     ]
 
 

@@ -3,11 +3,13 @@
 Points are plain float ndarrays. Complex coordinates are realified by
 interleaving, z_j = x[2j] + i*x[2j+1]; every module uses this layout.
 
-Paths are closed expression trees evaluated lazily on [0, 1]. Nodes are
-small dataclasses; evaluation has a scalar form (`at`) and a vectorized
-form (`sample`) because the verification suites evaluate dense knot
-grids per query. A block path is one tree for k paths of one shape: its
-leaves carry a leading row axis, and `row(i)` gives row i's own tree.
+Paths are closed expression trees evaluated lazily on [0, 1]. Each node
+evaluates a grid of parameters (`_eval_batch`), as the verification suites
+evaluate dense knot grids per query; `at` and `sample` check and clamp the
+parameter once, at the root. `at` is a one-point grid, except at the two
+leaf segments, which keep a cheaper one-point form. A block path is one
+tree for k paths of one shape: its leaves carry a leading row axis, and
+`row(i)` gives row i's own tree.
 
 The package's one Gauss-Newton step lives here too: the numeric lift
 node below and the lifts and fiber samplers above all project onto
@@ -50,7 +52,7 @@ LIFT_NEWTON_ITERS = 25
 def normalize(v: np.ndarray) -> np.ndarray:
     """Return v / ||v||, raising ZeroVector when ||v|| <= ZERO_TOL."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    n = point_norms(v)[..., None]
     if np.any(n <= ZERO_TOL):
         raise ZeroVector(f"cannot normalize vector with norm {float(n.min()):.3e}")
     return v / n
@@ -64,9 +66,16 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def point_norms(x: np.ndarray) -> np.ndarray:
-    """||x|| over the last axis, bit for bit np.linalg.norm(x, axis=-1): the squares summed
-    from the left one component at a time, faster than numpy's reduction on a short axis."""
-    return np.sqrt(_dot(x.T, x.T)).T  # x.T[i] holds component i of every point
+    """||x|| over the last axis, bit for bit np.linalg.norm(x, axis=-1)."""
+    return np.sqrt(_sum_squares(x))
+
+
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    """The sum of squares over the last axis, bit for bit np.add.reduce(x * x, axis=-1):
+    numpy adds under 8 terms from the left, as this faster loop does, and 8 or more pairwise."""
+    if x.shape[-1] < 8:
+        return _dot(x.T, x.T).T  # x.T[i] holds component i of every point
+    return np.add.reduce(x * x, axis=-1)
 
 
 def perturb_on_sphere(xi: np.ndarray, t: np.ndarray, scale: float) -> np.ndarray:
@@ -95,7 +104,7 @@ def stereo_inv(y: np.ndarray) -> np.ndarray:
     (2y, ||y||^2 - 1) / (||y||^2 + 1). Never returns the pole itself.
     """
     y = np.asarray(y, dtype=float)
-    s = _dot(y.T, y.T).T  # bit for bit np.sum(y * y, axis=-1)
+    s = _sum_squares(y)
     out = np.empty(y.shape[:-1] + (y.shape[-1] + 1,), dtype=float)
     out[..., :-1] = 2.0 * y / (s[..., None] + 1.0)
     out[..., -1] = (s - 1.0) / (s + 1.0)
@@ -299,8 +308,9 @@ class PathExpr:
     A block's leaves carry a leading row axis: its shape is (k, d) where a
     one-row path's is (d,), `at` gives (k, d) and `sample` (k, T, d). The
     nodes check every row of a block in one pass when they are made.
-    Subclasses implement shape, _eval, _eval_batch and to_dict, and list in
-    _rowwise the attributes that carry the row axis.
+    Subclasses implement shape, _eval_batch (at a grid already checked and
+    clamped) and to_dict, and list in _rowwise the attributes that carry the
+    row axis; `at` evaluates a one-point grid unless a leaf overrides `_eval`.
     """
 
     _rowwise: tuple = ()
@@ -310,6 +320,9 @@ class PathExpr:
         if not -DOMAIN_TOL <= t <= 1.0 + DOMAIN_TOL:  # NaN fails too
             raise DomainError(f"path parameter {t!r} outside [0, 1]")
         return self._eval(min(1.0, max(0.0, t)))
+
+    def _eval(self, t: float) -> np.ndarray:
+        return self._eval_batch(np.array([t]))[..., 0, :]
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -430,18 +443,13 @@ class Concat(PathExpr):
     def shape(self) -> tuple:
         return self.left.shape
 
-    def _eval(self, t: float) -> np.ndarray:
-        if t <= 0.5:
-            return self.left.at(2.0 * t)
-        return self.right.at(2.0 * t - 1.0)
-
     def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
         out = np.empty(self.shape[:-1] + ts.shape + self.shape[-1:], dtype=float)
         lo = ts <= 0.5
         if lo.any():
-            out[..., lo, :] = self.left.sample(2.0 * ts[lo])
+            out[..., lo, :] = self.left._eval_batch(2.0 * ts[lo])
         if not lo.all():
-            out[..., ~lo, :] = self.right.sample(2.0 * ts[~lo] - 1.0)
+            out[..., ~lo, :] = self.right._eval_batch(2.0 * ts[~lo] - 1.0)
         return out
 
     def to_dict(self) -> dict:
@@ -459,11 +467,8 @@ class Scaled(PathExpr):
     def shape(self) -> tuple:
         return self.path.shape
 
-    def _eval(self, t: float) -> np.ndarray:
-        return self.factor * self.path.at(t)
-
     def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
-        return self.factor * self.path.sample(ts)
+        return self.factor * self.path._eval_batch(ts)
 
     def to_dict(self) -> dict:
         return {"kind": "scaled", "factor": float(self.factor), "path": self.path.to_dict()}
@@ -510,12 +515,9 @@ class CircleActionLift(PathExpr):
     def shape(self) -> tuple:
         return self.start.shape
 
-    def _eval(self, t: float) -> np.ndarray:
-        return self._eval_batch(np.array([t]))[..., 0, :]
-
     def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
         w0 = self._w0[..., None, :]
-        wt = self.base.sample(ts)
+        wt = self.base._eval_batch(ts)
         # relative plane angle in (-pi, pi]; exact for sub-half-turn pieces
         dot = wt[..., 0] * w0[..., 0] + wt[..., 1] * w0[..., 1]
         crs = wt[..., 1] * w0[..., 0] - wt[..., 0] * w0[..., 1]
@@ -562,9 +564,6 @@ class NumericLift(PathExpr):
     def shape(self) -> tuple:
         return self.points.shape[1:]
 
-    def _eval(self, t: float) -> np.ndarray:
-        return self._eval_batch(np.array([t]))[0]
-
     def _eval_batch(self, ts: np.ndarray) -> np.ndarray:
         k = self.knots
         idx = np.clip(np.searchsorted(k, ts, side="right") - 1, 0, k.size - 2)
@@ -580,7 +579,7 @@ class NumericLift(PathExpr):
             self.workmap.f,
             self.workmap.jac,
             guess,
-            self.base.sample(ts[need]),
+            self.base._eval_batch(ts[need]),
             tol=LIFT_NEWTON_TOL,
             max_iter=LIFT_NEWTON_ITERS,
         )

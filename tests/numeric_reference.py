@@ -5,7 +5,8 @@ Gauss-Newton step and the Newton projection through `np.linalg`, the
 step's closed-form solve one row at a time in Python floats, the
 tracker's stride cut as a loop over knots, the arm and Hopf maps
 written one column at a time, the stereographic inverse chart through
-np.sum, and the probe's perturbation one point at a time. The package's versions
+np.sum, the probe's perturbation one point at a time, and `path.at`
+node by node at one point. The package's versions
 trim numpy's per-call overhead on small blocks and must stay bit for bit
 equal to these. `arm_lift_reference` and `hopf_lift_reference` are of
 another kind: the arm's lift in closed form and the Hopf bundle's
@@ -13,6 +14,8 @@ horizontal lift by its holonomy, which tracked lifts must match.
 """
 
 import numpy as np
+
+from tubeplan import geometry
 
 NEWTON_BLOWUP = 1e6
 
@@ -36,6 +39,41 @@ def stereo_inv(y: np.ndarray) -> np.ndarray:
     s = np.sum(y * y, axis=-1)
     return np.concatenate([2.0 * y / (s[..., None] + 1.0), ((s - 1.0) / (s + 1.0))[..., None]],
                           axis=-1)
+
+
+def at_reference(path, t: float) -> np.ndarray:
+    """path.at(t) for t in [0, 1], each node evaluating its children at the one
+    point t maps to, where the package evaluates inner nodes on a grid."""
+    if isinstance(path, geometry.NormalizedSegment):
+        v = (1.0 - t) * path.a + t * path.b
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    if isinstance(path, geometry.StereoSegment):
+        return stereo_inv((1.0 - t) * path._ya + t * path._yb)
+    if isinstance(path, geometry.Concat):
+        if t <= 0.5:
+            return at_reference(path.left, 2.0 * t)
+        return at_reference(path.right, 2.0 * t - 1.0)
+    if isinstance(path, geometry.Scaled):
+        return path.factor * at_reference(path.path, t)
+    if isinstance(path, geometry.CircleActionLift):
+        w0, wt = path._w0, at_reference(path.base, t)
+        dot = wt[..., 0] * w0[..., 0] + wt[..., 1] * w0[..., 1]
+        crs = wt[..., 1] * w0[..., 0] - wt[..., 0] * w0[..., 1]
+        theta = np.arctan2(crs, dot) / float(path.germ.degree)
+        z = path._z0 * np.exp(1j * (theta[..., None] * path._w))
+        return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (-1,))
+    assert isinstance(path, geometry.NumericLift), type(path)
+    k, pts = path.knots, path.points
+    i = min(max(int(np.searchsorted(k, t, side="right")) - 1, 0), k.size - 2)
+    lam = (t - k[i]) / (k[i + 1] - k[i]) if k[i + 1] > k[i] else 0.0
+    x = (1.0 - lam) * pts[i] + lam * pts[i + 1]
+    if min(abs(t - k[i]), abs(t - k[i + 1])) <= 1e-12 or path.workmap is None or path.base is None:
+        return x
+    target = at_reference(path.base, t)[None]
+    xs, ok = newton_project(path.workmap.f, path.workmap.jac, x[None], target,
+                            tol=geometry.LIFT_NEWTON_TOL, max_iter=geometry.LIFT_NEWTON_ITERS)
+    assert ok[0] and np.linalg.norm(xs[0] - x) <= np.linalg.norm(pts[i + 1] - pts[i])
+    return xs[0]
 
 
 def perturb_on_sphere(rng: np.random.Generator, t: np.ndarray, scale: float) -> np.ndarray:

@@ -9,17 +9,20 @@ import pytest
 import numeric_reference
 import suite_reference
 from tubeplan.errors import Uncovered
-from tubeplan.fibration import TaskingPlanner, pullback_planner
+from tubeplan.fibration import TaskingPlanner, pullback_planner, rr_arm_workmap
 from tubeplan.geometry import (
+    Concat,
+    NormalizedSegment,
     Scaled,
     _lerp,
+    normalize,
     path_to_json,
     point_norms,
     row_norms,
     stereo_inv,
     stereo_proj,
 )
-from tubeplan.milnor import load_germ, tube_fibration
+from tubeplan.milnor import hopf_germ, load_germ, tube_fibration
 from tubeplan.sphere_planner import Planned, SpherePlanner, build_planner
 from tubeplan.verify import run_contract_suite
 
@@ -51,7 +54,8 @@ def test_row_norms_equal_the_one_row_norm(d):
     assert np.array_equal(row_norms(x), want)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+# numpy adds fewer than 8 squares from the left and 8 or more pairwise
+@pytest.mark.parametrize("d", range(1, 13))
 def test_point_norms_equal_the_last_axis_norm(d):
     rng = np.random.default_rng(10 + d)
     x = rng.standard_normal((40, 50, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 50, 1))
@@ -69,9 +73,10 @@ def test_point_norms_equal_the_last_axis_norm(d):
         got = point_norms(block)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+        assert np.array_equal(normalize(block), block / want[..., None])
 
 
-@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("m", [2, 4, 8, 12])
 def test_stereo_inv_equals_the_sum_form_on_chart_blocks(m):
     rng = np.random.default_rng(m)
     a, b = (v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -117,6 +122,58 @@ def test_a_block_path_samples_its_rows_bit_for_bit(name):
     rows, pts = planned.sample(TS)
     assert sorted(rows.tolist()) == [i for i in range(200) if i not in planned.refused]
     assert all(np.array_equal(p, planned[i][1].sample(TS)) for i, p in zip(rows, pts))
+
+
+def _every_region_queries(planner, rng, k):
+    """2k queries. On a sphere: random pairs, then starts near the north pole,
+    each half with antipodal goals in every other row. On a pullback: drawn
+    starts, with goals over the antipode of the start's value in every other
+    row. Both reach every region of a sphere planner or a pullback over S^1."""
+    m = planner.m if isinstance(planner, SpherePlanner) else planner.workmap.p - 1
+    t1s, t2s = (normalize(v) for v in rng.standard_normal((2, 2 * k, m + 1)))
+    t1s[k:] = normalize(np.eye(m + 1)[m] + 0.01 * t1s[k:])
+    t2s[k // 2 :: 2] = -t1s[k // 2 :: 2]
+    if isinstance(planner, SpherePlanner):
+        return t1s, t2s
+    starts = planner.workmap.sample(rng, 2 * k)
+    return starts, planner.eta * np.where(
+        (np.arange(2 * k) % 2 == 1)[:, None], -normalize(planner.workmap.f(starts)), t2s
+    )
+
+
+AT_PLANNERS = ["S1", "S2", "S3", "S4", "S7", "S8", "brieskorn_2_3", "arm", "hopf"]
+
+
+@pytest.mark.parametrize("name", AT_PLANNERS)
+def test_at_equals_the_one_point_reference(name):
+    # at evaluates a one-point grid from the root down; the reference takes each
+    # node's plain one-point formula, down to the leaves
+    if name in ("arm", "hopf"):
+        planner = pullback_planner(rr_arm_workmap() if name == "arm" else hopf_germ())
+        k = 3
+    else:
+        planner, k = _planner(name), 12
+    planned = planner.plan_batch(*_every_region_queries(planner, np.random.default_rng(3), k))
+    regions = {idx for idx, _, _ in planned.blocks}
+    if name not in ("arm", "hopf"):  # numeric lifts are refused near the poles
+        assert regions == {r.index for r in planner.regions}
+    for _, rows, path in planned.blocks:
+        paths = [path] if len(path.shape) == 1 else [path, path.row(0), path.row(rows.size - 1)]
+        for p in paths:
+            for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+                assert np.array_equal(p.at(t), numeric_reference.at_reference(p, t)), t
+
+
+def test_at_reads_the_left_piece_at_an_inexact_junction():
+    # the planners' junctions are bit-exact, so only a junction some ulps off
+    # shows which piece t = 1/2 (and t = 3/4, inside the right piece) reads
+    a, b, c = (normalize(v) for v in np.random.default_rng(4).standard_normal((3, 5, 3)))
+    right = Concat(NormalizedSegment(b + 1e-12, c), NormalizedSegment(c + 1e-12, a))
+    path = Scaled(Concat(NormalizedSegment(a, b), right), 2.0)
+    assert not np.array_equal(path.path.left.at(1.0), right.at(0.0))
+    for p in (path, path.row(2)):
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            assert np.array_equal(p.at(t), numeric_reference.at_reference(p, t)), t
 
 
 def _plan_one_row(planner, a, b):

@@ -92,6 +92,16 @@ def test_plan_sphere_csv(capsys):
     assert len(lines) == 4
 
 
+def test_plan_sphere_csv_out_file_holds_the_stdout_bytes(capsys, tmp_path):
+    argv = ["plan-sphere", "--dim", "3", "--start", "1,0,0,0", "--goal", "0,0,0,1",
+            "--format", "csv"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    dest = tmp_path / "path.csv"
+    assert run_cli(capsys, *argv, "--out", str(dest)) == (0, "", "")
+    assert dest.read_bytes() == out.encode()
+
+
 def test_plan_sphere_rejects_bad_vector(capsys):
     with pytest.raises(SystemExit) as err:
         main(["plan-sphere", "--dim", "1", "--start", "1,0", "--goal", "0.5,0"])
@@ -187,6 +197,13 @@ def test_verify_sphere(capsys):
     assert doc["passed"] is True
     assert doc["coverage_failures"] == 0
     assert "wall_time" not in doc
+
+
+def test_verify_germ(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--germ", "germs/brieskorn_2_3.json",
+                           "--queries", "20")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_verify_byte_identical_given_seed(capsys):

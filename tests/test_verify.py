@@ -162,6 +162,18 @@ def test_suite_records_lift_failures():
         assert 0.0 <= entry["t_star"] <= 1.0
 
 
+def test_suite_records_an_uncovered_query():
+    # S^2 without its chart region: (-e1, e1) is antipodal, and the detour's
+    # field vanishes at its goal e1, so no region accepts it
+    s2 = build_planner(2)
+    regions = tuple(dataclasses.replace(r, index=i) for i, r in enumerate(s2.regions[1:], 1))
+    e1 = np.eye(3)[:1]
+    report = run_contract_suite(dataclasses.replace(s2, regions=regions), 1, queries=(-e1, e1))
+    assert report.coverage_failures == 1
+    assert not report.passed
+    assert [(f["index"], f["kind"]) for f in report.failures] == [(0, "uncovered")]
+
+
 def test_suite_lifts_numeric_queries_in_blocks():
     wm = rr_arm_workmap()
     shapes = []
